@@ -7,10 +7,7 @@ microbench cases and persists the result as
 
 * ``baseline`` — recorded once per optimization campaign (pre-work) with
   ``--set-baseline``; the number every speedup claim is measured against.
-* ``current`` — refreshed by any later run at the same scale.  Timed with
-  the reference ``loop`` backend so the trajectory stays comparable.
-* ``backends`` — one summary per engine backend from the same invocation
-  (``loop`` and ``vector``), plus the vector/loop aggregate ratio.
+* ``current`` — refreshed by any later run at the same scale.
 
 Run as a script (the committed artifact is updated this way)::
 
@@ -33,7 +30,6 @@ _REPO = Path(__file__).resolve().parents[1]
 if str(_REPO / "src") not in sys.path:  # script mode without PYTHONPATH=src
     sys.path.insert(0, str(_REPO / "src"))
 
-from repro.sim.engine import BACKENDS  # noqa: E402
 from repro.sim.profile import run_microbench  # noqa: E402
 
 DEFAULT_OUT = Path(__file__).parent / "results" / "BENCH_core.json"
@@ -41,29 +37,14 @@ DEFAULT_OUT = Path(__file__).parent / "results" / "BENCH_core.json"
 
 def bench_core(scale: str, repeats: int, out: Path,
                set_baseline: bool = False) -> dict:
-    """Run the microbench under every backend and fold the result into
-    ``out``.  The ``baseline``/``current`` trajectory sections stay pinned
-    to the reference loop backend; per-backend numbers land next to them.
-    """
-    summaries = {
-        backend: run_microbench(
-            scale=scale, repeats=repeats, backend=backend
-        ).summary()
-        for backend in BACKENDS
-    }
-    summary = summaries["loop"]
+    """Run the microbench and fold the result into ``out``."""
+    summary = run_microbench(scale=scale, repeats=repeats).summary()
     payload = {"bench": "core_speed"}
     if out.exists():
         payload.update(json.loads(out.read_text()))
     if set_baseline or "baseline" not in payload:
         payload["baseline"] = summary
     payload["current"] = summary
-    payload["backends"] = summaries
-    payload["vector_speedup_vs_loop"] = round(
-        summaries["vector"]["aggregate_accesses_per_s"]
-        / summary["aggregate_accesses_per_s"],
-        2,
-    )
     base = payload["baseline"]
     if base.get("scale") == scale and base.get("aggregate_accesses_per_s"):
         payload["speedup_vs_baseline"] = round(
@@ -98,11 +79,6 @@ def main(argv=None) -> int:
     for case in current["cases"]:
         print(f"  {case['workload']}/{case['scheme']:<10} "
               f"{case['accesses_per_s']:>12,} acc/s")
-    for backend, summary in payload["backends"].items():
-        print(f"  [{backend:<6}] "
-              f"{summary['aggregate_accesses_per_s']:>12,} acc/s aggregate")
-    print(f"  vector backend vs. loop: "
-          f"{payload['vector_speedup_vs_loop']}x")
     if "speedup_vs_baseline" in payload:
         print(f"  speedup vs. recorded baseline: "
               f"{payload['speedup_vs_baseline']}x")
@@ -118,10 +94,6 @@ def test_core_speed(tmp_path):
     assert payload["baseline"] == payload["current"]
     assert payload["current"]["aggregate_accesses_per_s"] > 0
     assert payload["speedup_vs_baseline"] == 1.0
-    assert set(payload["backends"]) == {"loop", "vector"}
-    assert payload["vector_speedup_vs_loop"] > 0
-    for summary in payload["backends"].values():
-        assert summary["aggregate_accesses_per_s"] > 0
 
 
 if __name__ == "__main__":

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional
 
-import numpy as np
-
 from .replacement import LruPolicy, ReplacementPolicy
 
 
@@ -138,66 +136,6 @@ class SetAssocCache:
         return line in self._sets[line & self._mask]
 
     # -- bulk operations -------------------------------------------------
-    def resident_line_array(
-        self, predicate: Optional[Callable[[CacheEntry], bool]] = None
-    ) -> "np.ndarray":
-        """Line indices of every resident entry (optionally filtered).
-
-        A snapshot for array-side membership math (``batch_probe`` /
-        ``numpy.isin``); the order is unspecified.
-        """
-        if predicate is None:
-            it = (line for cache_set in self._sets for line in cache_set)
-        else:
-            it = (
-                entry.line
-                for cache_set in self._sets
-                for entry in cache_set.values()
-                if predicate(entry)
-            )
-        return np.fromiter(it, dtype=np.int64)
-
-    def batch_probe(self, lines: "np.ndarray") -> "np.ndarray":
-        """Residency mask for ``lines`` (no statistics, no recency update).
-
-        Pure tag/index math against the current set state: element ``i`` is
-        True iff ``lines[i]`` is resident right now.
-        """
-        return np.isin(lines, self.resident_line_array())
-
-    def batch_touch(self, lines: "np.ndarray", writes: "np.ndarray") -> None:
-        """Replay a run of guaranteed hits as one bulk update.
-
-        Equivalent, entry for entry and counter for counter, to calling
-        ``lookup(line)`` once per element in order (setting ``dirty`` on
-        writes): the hit counter advances by the run length, every touched
-        line ends at the MRU end of its set in last-touch order (untouched
-        entries keep their relative order), and a line written anywhere in
-        the run is dirty afterwards.  Every line must be resident (probe
-        first).
-        """
-        n = len(lines)
-        if n == 0:
-            return
-        if not self._lru:
-            for i in range(n):
-                entry = self.lookup(int(lines[i]))
-                if writes[i]:
-                    entry.dirty = True
-            return
-        self.hits += n
-        sets = self._sets
-        mask = self._mask
-        # Last-touch order: unique over the reversed run gives each line's
-        # final touch; undoing the reversal sorts oldest-last-touch first.
-        uniq, first_rev = np.unique(lines[::-1], return_index=True)
-        for line in uniq[np.argsort(-first_rev)].tolist():
-            cache_set = sets[line & mask]
-            cache_set[line] = cache_set.pop(line)
-        if writes.any():
-            for line in np.unique(lines[writes]).tolist():
-                sets[line & mask][line].dirty = True
-
     def invalidate_where(
         self, predicate: Callable[[CacheEntry], bool]
     ) -> List[CacheEntry]:

@@ -266,19 +266,6 @@ class FaultInjector:
             return _INF
         return rejoin if clock < rejoin else None
 
-    def crash_fence(self, clock: float) -> float:
-        """Event bound for batched execution under a crash plan.
-
-        Before the next crash/rejoin epoch the fence is that epoch, so no
-        batch crosses it.  While the governor holds promotions suspended
-        the fence is 0.0 — forcing every access through the slow path,
-        where the governor's per-access suppression applies identically
-        in both backends.
-        """
-        if clock < self._suspended_until:
-            return 0.0
-        return self.next_crash_ns
-
     # -- migration governor -----------------------------------------------
     def promotion_blocked(self, host: int, now: float) -> bool:
         """Whether PIPM promotions are suppressed for ``host`` at ``now``.

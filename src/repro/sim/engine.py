@@ -4,26 +4,9 @@ Each host replays its stream against the shared system model.  Hosts are
 interleaved by simulated time (a min-heap over host clocks), so shared
 state — device directory, remapping tables, votes, migration intervals —
 observes accesses in a globally consistent order, the multi-host analogue
-of the paper's trace-replay methodology (Section 5.1.2).
-
-Two run backends share that contract and produce byte-identical
-:class:`SimulationResult` records (see DESIGN.md, "The two-phase engine"):
-
-* ``loop`` — the reference: one access at a time through
-  :meth:`MultiHostSystem.access`.
-* ``vector`` — a two-phase fast path over the structure-of-arrays baked
-  streams.  Runs of *guaranteed-private L1 hits* (resident line, no
-  S->M upgrade risk, no tick/audit/fault boundary crossed, host still the
-  earliest runnable) are resolved inline and, past a run-length threshold,
-  as array operations against :class:`SetAssocCache` set state.  L1
-  misses that cannot escalate into a cross-host transaction go through a
-  per-host *flattened* miss path (:func:`_make_flat_path`) — the same
-  classify-then-execute two-phase discipline, with constant-folded
-  zero-queue latencies and deferred integer statistics.  Every
-  coherence-visible event — an escalating miss, an upgrade-risky write,
-  an interval tick, a watchdog audit, a fault window, a poisoned line —
-  is funneled through the existing slow path unchanged, in the exact
-  global order the loop backend would produce.
+of the paper's trace-replay methodology (Section 5.1.2).  Every access
+goes through :meth:`MultiHostSystem.access`, one at a time (see
+DESIGN.md, "The access path").
 """
 
 from __future__ import annotations
@@ -34,794 +17,19 @@ from typing import List, Optional
 
 import numpy as np
 
-from .. import units
-from ..cache.directory import DirectoryEntry
-from ..cache.sa_cache import CacheEntry
 from ..config import SystemConfig
-from ..mem.cxl_link import CONTROL_BYTES
-from ..pipm.remap_cache import RemapCache
-from ..pipm.remap_global import NO_HOST, GlobalRemapEntry
-from ..pipm.remap_local import LEAF_ENTRIES
 from ..policies.base import MigrationScheme
 from ..workloads.trace import BakedStream, WorkloadTrace
 from .results import ServicePoint, SimulationResult
 from .system import MultiHostSystem
 
 _SVC_L1 = int(ServicePoint.L1)
-_SVC_LLC = int(ServicePoint.LLC)
-_SVC_LOCAL = int(ServicePoint.LOCAL_MEM)
-_SVC_PIPM = int(ServicePoint.PIPM_LOCAL)
-_SVC_CXL = int(ServicePoint.CXL_MEM)
-_LINE_SHIFT = units.LINE_SHIFT
-_PAGE_SHIFT = units.PAGE_SHIFT
-_LINE_TO_PAGE = units.PAGE_SHIFT - units.LINE_SHIFT
-_LINES_MASK = units.LINES_PER_PAGE - 1
-_CACHE_LINE = units.CACHE_LINE
-
-# MESI-style directory states (must match repro.sim.system).
-_I = 0
-_S = 1
-_M = 3
-
-#: Radix-root entries are 8-byte pointers to leaves (see system.py).
-_ROOT_PTRS_PER_LINE = units.CACHE_LINE // 8
-
-_CONTROL_BYTES = CONTROL_BYTES
-
-#: Run backends accepted by :class:`SimulationEngine`.
-BACKENDS = ("loop", "vector")
-
-#: Consecutive inline fast-path hits before the vector backend switches a
-#: burst to array mode.  Array setup (mirror snapshots + membership math)
-#: costs tens of microseconds, so it only pays on long private runs; short
-#: bursts stay on the inline scalar path, which costs nothing extra.
-_ARRAY_THRESHOLD = 96
-
-#: Accesses examined per array-mode probe window.
-_ARRAY_WINDOW = 1 << 16
-
-
-def _make_dram_path(pool):
-    """Build ``(dram, flush)`` replicating ``pool.access(addr, now)``.
-
-    ``dram(addr, now)`` flattens MemoryController.read_line ->
-    DramPool.access -> DramChannel.access for one cache line: same channel
-    selection, open-row update, bandwidth-server queueing, and float
-    operation order.  Channels within a pool share one geometry, so the
-    zero-queue latencies collapse to two precomputed constants (adding a
-    0.0 queue delay is bitwise identity on the positive device latencies,
-    and skipping a ``+= 0.0`` leaves the nonnegative queue-ns accumulator
-    bit-identical).  Integer statistics accumulate in per-channel pending
-    cells that ``flush()`` folds into the real counters; nothing reads
-    those counters until the run's records are collected, and every other
-    writer only increments, so the deferral commutes.
-    """
-    channels = pool.channels
-    n_ch = pool._num_channels
-    first = channels[0]
-    row_bytes = first._row_bytes
-    banks = first._banks
-    hit_ns = first._row_hit_ns
-    miss_ns = first._row_miss_ns
-    line_ns = first._line_ns
-    hit_tot = hit_ns + line_ns
-    miss_tot = miss_ns + line_ns
-    pend_n = [0] * n_ch
-    pend_h = [0] * n_ch
-
-    def dram(addr, now):
-        idx = (addr >> _PAGE_SHIFT) % n_ch
-        channel = channels[idx]
-        row = addr // row_bytes
-        bank = row % banks
-        open_rows = channel._open_rows
-        pend_n[idx] += 1
-        if open_rows.get(bank) == row:
-            pend_h[idx] += 1
-            busy = channel._busy_until
-            if busy > now:
-                queue_delay = busy - now
-                channel._busy_until = busy + line_ns
-                channel._queue_ns.value += queue_delay
-                return hit_ns + queue_delay + line_ns
-            channel._busy_until = now + line_ns
-            return hit_tot
-        open_rows[bank] = row
-        busy = channel._busy_until
-        if busy > now:
-            queue_delay = busy - now
-            channel._busy_until = busy + line_ns
-            channel._queue_ns.value += queue_delay
-            return miss_ns + queue_delay + line_ns
-        channel._busy_until = now + line_ns
-        return miss_tot
-
-    def flush():
-        for idx in range(n_ch):
-            n = pend_n[idx]
-            if not n:
-                continue
-            hits = pend_h[idx]
-            channel = channels[idx]
-            channel._row_hits.value += hits
-            channel._row_misses.value += n - hits
-            channel._accesses.value += n
-            channel._bytes.value += n * _CACHE_LINE
-            pend_n[idx] = 0
-            pend_h[idx] = 0
-
-    return dram, flush
-
-
-def _make_flat_path(system, host_id, stall_by_service):
-    """Build one host's flat fast path for L1-missing accesses.
-
-    Returns ``(flat, flush)`` where ``flat(l1, cache_set, addr, line,
-    is_write, now)`` resolves one access end to end — classification,
-    latency, cache/directory mutations, service/stall accounting — and
-    returns the host's new clock, or ``None`` when the access must go
-    through the serialized slow path.  The factory itself returns ``None``
-    when the system configuration rules the flat path out (active fault
-    disruption, a switched fabric topology whose shared segments contend
-    across hosts, HW-static PIPM, infinite remap caches, or any non-LRU
-    replacement policy: the inline paths replicate dict-order LRU).
-
-    The closure replicates :meth:`MultiHostSystem.access` for every flow
-    that cannot escalate into a cross-host transaction, in two phases:
-    phase 1 *classifies* with pure reads only (so a bail leaves zero state
-    mutated and the slow path re-executes the access from scratch), phase
-    2 *executes* with the exact mutation and float-addition order of the
-    slow path, so results stay byte-identical.  Escalating cases — a
-    dirty-owner forward, an inter-host access to a migrated page, an
-    S->M upgrade on a cached copy, a PIPM promotion crossing the vote
-    threshold — bail to the slow path.
-
-    Three mechanical liberties keep the hot path short without touching
-    observable results:
-
-    * zero-queue link/DRAM latencies fold to precomputed constants
-      (IEEE-754: adding ``0.0`` to a positive float is identity, so the
-      constant equals the runtime sum bit for bit);
-    * integer statistics (hit/miss/eviction counters, link message/byte
-      totals) accumulate in closure cells that ``flush()`` folds back in
-      — every concurrent writer only increments, and nothing reads them
-      until records are collected, so the deferral commutes.  Float
-      accumulators (queue ns, stall ns, ledger benefit) stay live because
-      float addition order is observable;
-    * evicted ``CacheEntry``/``DirectoryEntry`` objects are recycled as
-      the incoming fill (stamps are dead under dict-order LRU, and
-      nothing compares entry identity), skipping the allocation.
-
-    Caller contract (enforced by ``_run_vector``): the L1 missed,
-    ``cache_set`` is the probed L1 set dict for ``line``, the line is not
-    poisoned, ``now`` is below every armed event bound (interval tick,
-    watchdog audit, poison arrival, stall window), and this host still
-    holds the earliest heap turn.
-    """
-    if system._faults_on:
-        return None  # simcheck: bails[faults-active]
-    if system.paths[host_id] is not system.links[host_id]:
-        # Switched fabric: the path crosses shared segments that other
-        # hosts contend on at any moment (and that may run degraded under
-        # a switchdown window), so per-host flattening is unsound — every
-        # miss takes the serialized slow path.
-        return None  # simcheck: bails[switched-path]
-    is_pipm = system._is_pipm
-    is_page_map = system._is_page_map
-    all_local = system.all_local
-    engine = system.engine
-    if is_pipm and (
-        engine.static_map
-        or type(engine.global_cache) is not RemapCache
-        or type(engine.local_caches[host_id]) is not RemapCache
-    ):
-        # HW-static lazily allocates local entries on lookup and the
-        # infinite caches override probe/install; neither is worth
-        # flattening — those runs take the slow path on every miss.
-        return None
-
-    host = system.hosts[host_id]
-    hosts = system.hosts
-    tlb_cache = host.tlb._cache
-    llc = host.llc
-    l1s = host.l1s
-    lru_caches = [tlb_cache, llc, *l1s]
-    if is_pipm:
-        lru_caches.append(engine.local_caches[host_id]._cache)
-        lru_caches.append(engine.global_cache._cache)
-    if not all(cache._lru for cache in lru_caches):
-        return None
-    if len({l1.ways for l1 in l1s}) != 1:
-        return None
-    l1_ways = l1s[0].ways
-
-    svc_counts = system.svc_counts
-    inv_mlp = host.core.inv_mlp
-    svc_llc = _SVC_LLC
-    svc_local = _SVC_LOCAL
-    svc_pipm = _SVC_PIPM
-    svc_cxl = _SVC_CXL
-    cxl_end = system._cxl_end
-    llc_ns = system._llc_ns
-    ldir_ns = system._ldir_ns
-    ddir_ns = system._ddir_ns
-
-    tlb = host.tlb
-    # translate() computes hit_ns (+ walk_ns on a miss), access() adds
-    # l1_ns, then llc_ns; presumming the constant operands in the same
-    # association reproduces the same floats.
-    lat0_hit = (tlb.hit_ns + system._l1_ns) + llc_ns
-    lat0_miss = ((tlb.hit_ns + tlb.walk_ns) + system._l1_ns) + llc_ns
-    tlb_sets = tlb_cache._sets
-    tlb_mask = tlb_cache._mask
-    tlb_ways = tlb_cache.ways
-
-    llc_sets = llc._sets
-    llc_mask = llc._mask
-    llc_ways = llc.ways
-    l1_residue = [(l1._sets, l1._mask) for l1 in l1s]
-
-    dram_local, flush_local = _make_dram_path(host.local_mem.pool)
-    dram_cxl, flush_cxl = _make_dram_path(system.cxl_mem.pool)
-
-    link = system.links[host_id]
-    link_busy = link._busy_until
-    link_lat = link._latency_ns
-    link_msgs = link._messages
-    link_bytes = link._bytes
-    link_qns = link._queue_ns
-    # request_bytes * 1e9 / bw with constant operands, as transfer() does.
-    ser_ctrl = _CONTROL_BYTES * 1e9 / link._bw_bytes_ns
-    ser_line = _CACHE_LINE * 1e9 / link._bw_bytes_ns
-    rt_bytes = _CONTROL_BYTES + _CACHE_LINE
-    out0 = link_lat + ser_ctrl  # request leg, empty queue
-    in0 = link_lat + ser_line  # response leg, empty queue
-    rt0 = (out0 + in0) + ddir_ns  # whole round trip, both queues empty
-
-    device_dir = system.device_dir
-    dir_arrays = device_dir._arrays
-    dir_sps = device_dir.sets_per_slice
-    dir_slices = device_dir.slices
-    dir_mask = device_dir._mask
-    dir_ways = device_dir.ways
-    back_invalidate = system._back_invalidate
-    drop_exclusivity = system._drop_exclusivity
-
-    pt_mapped = host.page_table._mapped
-    page_map = system.page_map
-    dirty_pages = system.dirty_pages
-    observe = system.scheme.observe_shared_access if is_page_map else None
-    ledger = system.ledger
-    ledger_live = ledger._live if ledger is not None else None
-    ledger_benefit = ledger.benefit_per_local if ledger is not None else 0.0
-    peak_local_lines = system.peak_local_lines
-
-    if is_pipm:
-        local_table = engine.local_tables[host_id]
-        local_entries = local_table._entries
-        lrc = engine.local_caches[host_id]._cache
-        lrc_sets = lrc._sets
-        lrc_mask = lrc._mask
-        lrc_ways = lrc.ways
-        grc = engine.global_cache._cache
-        grc_sets = grc._sets
-        grc_mask = grc._mask
-        grc_ways = grc.ways
-        g_entries = engine.global_table._entries
-        pinned = engine._pinned_cxl
-        vote = engine.vote
-        gmax = vote._global_max
-        lmax = vote._local_max
-        threshold = vote.threshold
-        pipm_counters = engine.counters
-        peak_pages = pipm_counters.peak_pages
-        peak_lines = pipm_counters.peak_lines
-        lrc_ns = system._lrc_ns
-        grc_ns = system._grc_ns
-        local_root_base = system._local_root_base
-        local_leaf_base = system._local_leaf_base
-        global_table_base = system._global_table_base
-        leaf_epl = system._leaf_entries_per_line
-        g_epl = system._global_entries_per_line
-
-    # Deferred integer statistics (see the docstring).
-    t_h = t_m = t_e = 0  # TLB hits / misses / evictions
-    c_h = c_m = c_e = 0  # LLC hits / misses / evictions
-    d_l = d_h = d_ce = 0  # device directory lookups / hits / evictions
-    rt_n = wb_n = 0  # link round trips / writeback transfers
-    p_h = p_m = p_e = 0  # local remap cache hits / misses / evictions
-    g_h = g_m = g_e = 0  # global remap cache hits / misses / evictions
-
-    def flush():
-        nonlocal t_h, t_m, t_e, c_h, c_m, c_e, d_l, d_h, d_ce
-        nonlocal rt_n, wb_n, p_h, p_m, p_e, g_h, g_m, g_e
-        tlb_cache.hits += t_h
-        tlb_cache.misses += t_m
-        tlb_cache.evictions += t_e
-        llc.hits += c_h
-        llc.misses += c_m
-        llc.evictions += c_e
-        device_dir.lookups += d_l
-        device_dir.hits += d_h
-        device_dir.capacity_evictions += d_ce
-        link_msgs.value += 2 * rt_n + wb_n
-        link_bytes.value += rt_bytes * rt_n + _CACHE_LINE * wb_n
-        if is_pipm:
-            lrc.hits += p_h
-            lrc.misses += p_m
-            lrc.evictions += p_e
-            grc.hits += g_h
-            grc.misses += g_m
-            grc.evictions += g_e
-        t_h = t_m = t_e = c_h = c_m = c_e = d_l = d_h = d_ce = 0
-        rt_n = wb_n = p_h = p_m = p_e = g_h = g_m = g_e = 0
-        flush_local()
-        flush_cxl()
-
-    def flat(l1, cache_set, addr, line, is_write, now):
-        nonlocal t_h, t_m, t_e, c_h, c_m, c_e, d_l, d_h, d_ce
-        nonlocal rt_n, wb_n, p_h, p_m, p_e, g_h, g_m, g_e
-        # ============ phase 1: classify (pure reads only) ============
-        # simcheck: phase[classify]
-        page = line >> _LINE_TO_PAGE
-        shared = addr < cxl_end
-        loc = None
-        if shared and is_page_map:
-            loc = page_map.get(page)
-            if loc is not None and loc != host_id:
-                return None  # simcheck: bails[inter-host-page] non-cacheable 4-hop
-        llc_set = llc_sets[line & llc_mask]
-        llc_entry = llc_set.get(line)
-        pipm_entry = None
-        gentry = None
-        dset = None
-        dentry = None
-        current = NO_HOST
-        if llc_entry is not None:
-            if is_write and not llc_entry.dirty and llc_entry.state == 0:
-                return None  # simcheck: bails[upgrade-llc-hit] S -> M on LLC hit
-            flow = 0  # LLC hit
-        elif not shared or all_local:
-            flow = 1  # host-private (or all-local scheme): local DRAM
-        elif is_pipm:
-            gentry = g_entries.get(page)
-            if gentry is not None:
-                current = gentry.current_host
-            if current != NO_HOST and current != host_id:
-                return None  # simcheck: bails[pipm-inter-host] migrated elsewhere
-            if (
-                current == NO_HOST
-                and gentry is not None
-                and gentry.candidate_host == host_id
-                and gentry.counter > 0
-                and page not in pinned
-            ):
-                nxt = gentry.counter + (1 if gentry.counter < gmax else 0)
-                if nxt >= threshold:
-                    return None  # simcheck: bails[pipm-promotion] vote threshold
-            pipm_entry = local_entries.get(page)
-            if pipm_entry is not None and (
-                pipm_entry.migrated_lines >> (line & _LINES_MASK) & 1
-            ):
-                flow = 2  # PIPM: line already migrated here
-            else:
-                flow = 3  # PIPM: served from CXL memory
-        elif loc is not None:  # loc == host_id (foreign bailed above)
-            flow = 4  # kernel-migrated page owned here: local DRAM
-        else:
-            flow = 5  # plain cacheable CXL access
-        if flow == 3 or flow == 5:
-            dset = dir_arrays[(line // dir_sps) % dir_slices][
-                line & dir_mask
-            ]
-            dentry = dset.get(line)
-            if (
-                dentry is not None
-                and dentry.state == _M
-                and dentry.owner != host_id
-                and dentry.owner >= 0
-                and hosts[dentry.owner].holds_line(line)
-            ):
-                return None  # simcheck: bails[dirty-owner-forward] 4-hop forward
-
-        # ============ phase 2: execute (no bail past here) ============
-        # simcheck: phase[execute]
-        # TLB translate (access() charges it before the L1 probe).
-        tlb_set = tlb_sets[page & tlb_mask]
-        tlb_entry = tlb_set.get(page)
-        if tlb_entry is not None:
-            t_h += 1
-            del tlb_set[page]
-            tlb_set[page] = tlb_entry
-            lat = lat0_hit
-        else:
-            t_m += 1
-            if len(tlb_set) >= tlb_ways:
-                t_e += 1
-                tlb_entry = tlb_set.pop(next(iter(tlb_set)))
-                tlb_entry.line = page  # recycle: TLB entries stay default
-                tlb_set[page] = tlb_entry
-            else:
-                tlb_set[page] = CacheEntry(page)
-            lat = lat0_miss
-        l1.misses += 1  # the l1.lookup() the caller's probe stood in for
-
-        if flow == 0:
-            c_h += 1
-            del llc_set[line]
-            llc_set[line] = llc_entry
-            if is_write:
-                llc_entry.dirty = True
-            # _fill_l1 from the LLC copy.
-            if len(cache_set) >= l1_ways:
-                v = cache_set.pop(next(iter(cache_set)))
-                l1.evictions += 1
-                if v.dirty:
-                    ve = llc_sets[v.line & llc_mask].get(v.line)
-                    if ve is not None:
-                        ve.dirty = True
-                v.line = line
-                v.dirty = is_write
-                v.state = llc_entry.state or 0
-                cache_set[line] = v
-            else:
-                cache_set[line] = CacheEntry(
-                    line, is_write, llc_entry.state or 0
-                )
-            svc_counts[svc_llc] += 1
-            stall = lat * inv_mlp
-            stall_by_service[svc_llc] += stall
-            return now + stall
-
-        c_m += 1
-        if flow == 1:
-            lat += ldir_ns + dram_local(addr, now)
-            exclusive = 1
-            svc = svc_local
-        elif flow == 4:
-            pt_mapped.add(page)
-            observe(host_id, page, now, is_write)
-            if ledger_live is not None:
-                rec = ledger_live.get(page)
-                if rec is not None:
-                    rec.benefit_ns += ledger_benefit
-            if is_write:
-                dirty_pages.add(page)
-            lat += ldir_ns + dram_local(addr, now)
-            exclusive = 1
-            svc = svc_local
-        else:
-            if flow == 5:
-                pt_mapped.add(page)
-                if observe is not None:
-                    observe(host_id, page, now, is_write)
-            else:  # flows 2 and 3: the PIPM lookup ladder
-                pt_mapped.add(page)
-                # Local remapping cache probe (+ install on a miss).
-                lrc_set = lrc_sets[page & lrc_mask]
-                ce = lrc_set.get(page)
-                if ce is not None:
-                    p_h += 1
-                    del lrc_set[page]
-                    lrc_set[page] = ce
-                    lat += lrc_ns
-                else:
-                    p_m += 1
-                    if len(lrc_set) >= lrc_ways:
-                        p_e += 1
-                        ce = lrc_set.pop(next(iter(lrc_set)))
-                        ce.line = page  # recycle: remap entries stay default
-                        lrc_set[page] = ce
-                    else:
-                        lrc_set[page] = CacheEntry(page)
-                    lat += lrc_ns
-                    # Two-level radix walk in local DRAM.
-                    root = page // LEAF_ENTRIES
-                    lat += dram_local(
-                        local_root_base
-                        + (root // _ROOT_PTRS_PER_LINE << _LINE_SHIFT),
-                        now,
-                    )
-                    lat += dram_local(
-                        local_leaf_base + (page // leaf_epl << _LINE_SHIFT),
-                        now,
-                    )
-                if flow == 2:
-                    # Case 3 of Fig. 9: served from local memory.
-                    if pipm_entry.counter < lmax:
-                        pipm_entry.counter += 1
-                    lat += ldir_ns + dram_local(addr, now)
-                    if len(cache_set) >= l1_ways:
-                        v = cache_set.pop(next(iter(cache_set)))
-                        l1.evictions += 1
-                        if v.dirty:
-                            ve = llc_sets[v.line & llc_mask].get(v.line)
-                            if ve is not None:
-                                ve.dirty = True
-                        v.line = line
-                        v.dirty = is_write
-                        v.state = 1
-                        cache_set[line] = v
-                    else:
-                        cache_set[line] = CacheEntry(line, is_write, 1)
-                    exclusive = 1
-                    svc = svc_pipm
-                    # fall through to the LLC fill below via shared tail
-                else:
-                    if pipm_entry is not None:
-                        # Partially migrated here, but this line still
-                        # lives in CXL: count the local interest.
-                        if pipm_entry.counter < lmax:
-                            pipm_entry.counter += 1
-                    lat += grc_ns
-                    gset = grc_sets[page & grc_mask]
-                    ge = gset.get(page)
-                    if ge is not None:
-                        g_h += 1
-                        del gset[page]
-                        gset[page] = ge
-                    else:
-                        g_m += 1
-                        if len(gset) >= grc_ways:
-                            g_e += 1
-                            ge = gset.pop(next(iter(gset)))
-                            ge.line = page  # recycle, as above
-                            gset[page] = ge
-                        else:
-                            gset[page] = CacheEntry(page)
-                        lat += dram_cxl(
-                            global_table_base
-                            + (page // g_epl << _LINE_SHIFT),
-                            now,
-                        )
-                    if current == NO_HOST and page not in pinned:
-                        # Majority vote (promotion excluded in phase 1).
-                        if gentry is None:
-                            gentry = GlobalRemapEntry()
-                            g_entries[page] = gentry
-                        if (
-                            gentry.candidate_host == NO_HOST
-                            or gentry.counter == 0
-                        ):
-                            gentry.candidate_host = host_id
-                            gentry.counter = 1
-                        elif gentry.candidate_host == host_id:
-                            if gentry.counter < gmax:
-                                gentry.counter += 1
-                        else:
-                            gentry.counter -= 1
-
-            if flow != 2:
-                # ---- plain cacheable CXL access (_cxl_access) ----
-                # Both bandwidth-server legs collapse to constants when
-                # their queues are empty (the common case).
-                b0 = link_busy[0]
-                if b0 > now:
-                    qd = b0 - now
-                    link_busy[0] = b0 + ser_ctrl
-                    link_qns.value += qd
-                    out = link_lat + qd + ser_ctrl
-                    then = now + out
-                    b1 = link_busy[1]
-                    if b1 > then:
-                        qd = b1 - then
-                        link_busy[1] = b1 + ser_line
-                        link_qns.value += qd
-                        extra = (out + (link_lat + qd + ser_line)) + ddir_ns
-                    else:
-                        link_busy[1] = then + ser_line
-                        extra = (out + in0) + ddir_ns
-                else:
-                    link_busy[0] = now + ser_ctrl
-                    then = now + out0
-                    b1 = link_busy[1]
-                    if b1 > then:
-                        qd = b1 - then
-                        link_busy[1] = b1 + ser_line
-                        link_qns.value += qd
-                        extra = (out0 + (link_lat + qd + ser_line)) + ddir_ns
-                    else:
-                        link_busy[1] = then + ser_line
-                        extra = rt0
-                rt_n += 1
-                d_l += 1
-                if dentry is not None:
-                    d_h += 1
-                    del dset[line]
-                    dset[line] = dentry
-                extra += dram_cxl(addr, now)
-                # _dir_update (the lookup above already moved the entry
-                # to the MRU end, so allocate's move-to-end is a no-op).
-                # A capacity victim back-invalidates *before* the new
-                # entry is linked in: the recall only touches host caches
-                # and the link/DRAM servers, never this directory set, so
-                # the reorder is unobservable — and frees the victim
-                # entry for recycling.
-                if is_write:
-                    if dentry is not None:
-                        srs = dentry.sharers
-                        if len(srs) != 1 or host_id not in srs:
-                            for sharer in sorted(srs):
-                                if sharer != host_id:
-                                    hosts[sharer].invalidate_line(line)
-                        dentry.state = _M
-                        dentry.owner = host_id
-                        dentry.sharers = {host_id}
-                    elif len(dset) >= dir_ways:
-                        victim = dset.pop(next(iter(dset)))
-                        d_ce += 1
-                        back_invalidate(victim, now)
-                        victim.line = line
-                        victim.state = _M
-                        victim.owner = host_id
-                        victim.sharers = {host_id}
-                        dset[line] = victim
-                    else:
-                        dentry = DirectoryEntry(line, _M, host_id)
-                        dentry.sharers = {host_id}
-                        dset[line] = dentry
-                    exclusive = 1
-                else:
-                    if dentry is not None:
-                        dentry.state = _S
-                        srs = dentry.sharers
-                        if srs and (len(srs) != 1 or host_id not in srs):
-                            for sharer in sorted(srs):
-                                if sharer != host_id:
-                                    drop_exclusivity(sharer, line)
-                        srs.add(host_id)
-                        exclusive = 1 if len(srs) <= 1 else 0
-                    else:
-                        if len(dset) >= dir_ways:
-                            victim = dset.pop(next(iter(dset)))
-                            d_ce += 1
-                            back_invalidate(victim, now)
-                            victim.line = line
-                            victim.state = _S
-                            victim.owner = -1
-                            srs = victim.sharers
-                            srs.clear()
-                            srs.add(host_id)
-                            dset[line] = victim
-                        else:
-                            dentry = DirectoryEntry(line, _S, -1)
-                            dentry.sharers.add(host_id)
-                            dset[line] = dentry
-                        exclusive = 1
-                lat = lat + extra
-                svc = svc_cxl
-                # _fill_l1 with the directory-decided exclusivity.
-                if len(cache_set) >= l1_ways:
-                    v = cache_set.pop(next(iter(cache_set)))
-                    l1.evictions += 1
-                    if v.dirty:
-                        ve = llc_sets[v.line & llc_mask].get(v.line)
-                        if ve is not None:
-                            ve.dirty = True
-                    v.line = line
-                    v.dirty = is_write
-                    v.state = exclusive
-                    cache_set[line] = v
-                else:
-                    cache_set[line] = CacheEntry(line, is_write, exclusive)
-
-        if flow == 1 or flow == 4:
-            # _fill_l1, exclusive (local-memory flows).
-            if len(cache_set) >= l1_ways:
-                v = cache_set.pop(next(iter(cache_set)))
-                l1.evictions += 1
-                if v.dirty:
-                    ve = llc_sets[v.line & llc_mask].get(v.line)
-                    if ve is not None:
-                        ve.dirty = True
-                v.line = line
-                v.dirty = is_write
-                v.state = 1
-                cache_set[line] = v
-            else:
-                cache_set[line] = CacheEntry(line, is_write, 1)
-
-        # ---- LLC fill + eviction handling (_fill tail) ----
-        # The victim is handled first and its entry object recycled as
-        # the incoming fill; the fill lands at the MRU end either way,
-        # and the victim handling never reads this LLC set.
-        if len(llc_set) >= llc_ways:
-            victim = llc_set.pop(next(iter(llc_set)))
-            c_e += 1
-            vline = victim.line
-            vdirty = victim.dirty
-            for r_sets, r_mask in l1_residue:
-                residue = r_sets[vline & r_mask].pop(vline, None)
-                if residue is not None and residue.dirty:
-                    vdirty = True
-            vaddr = vline << _LINE_SHIFT
-            if vaddr >= cxl_end:
-                if vdirty:
-                    dram_local(vaddr, now)
-            else:
-                handled = False
-                vpage = vline >> _LINE_TO_PAGE
-                if is_pipm:
-                    ventry = local_entries.get(vpage)
-                    if ventry is not None and (
-                        vdirty or victim.state == 1
-                    ):
-                        # Incremental migration (cases 1/4 of Fig. 9).
-                        bit = 1 << (vline & _LINES_MASK)
-                        if not ventry.migrated_lines & bit:
-                            ventry.migrated_lines |= bit
-                            ventry.migrated_count += 1
-                            local_table._migrated_total += 1
-                            pipm_counters.incremental_migrations += 1
-                            n_pages = len(local_entries)
-                            if n_pages > peak_pages.get(host_id, 0):
-                                peak_pages[host_id] = n_pages
-                            n_lines = local_table._migrated_total
-                            if n_lines > peak_lines.get(host_id, 0):
-                                peak_lines[host_id] = n_lines
-                        dram_local(vaddr, now)
-                        dir_arrays[(vline // dir_sps) % dir_slices][
-                            vline & dir_mask
-                        ].pop(vline, None)
-                        n_lines = local_table._migrated_total
-                        if n_lines > peak_local_lines.get(host_id, 0):
-                            peak_local_lines[host_id] = n_lines
-                        handled = True
-                elif is_page_map:
-                    if page_map.get(vpage) == host_id:
-                        if vdirty:
-                            dram_local(vaddr, now)
-                        handled = True
-                if not handled:
-                    if vdirty:
-                        # link.transfer(TO_DEVICE) + CXL writeback.
-                        b0 = link_busy[0]
-                        if b0 > now:
-                            qd = b0 - now
-                            link_busy[0] = b0 + ser_line
-                            link_qns.value += qd
-                        else:
-                            link_busy[0] = now + ser_line
-                        wb_n += 1
-                        dram_cxl(vaddr, now)
-                    vset = dir_arrays[(vline // dir_sps) % dir_slices][
-                        vline & dir_mask
-                    ]
-                    de = vset.get(vline)
-                    if de is not None:
-                        de.sharers.discard(host_id)
-                        if de.owner == host_id:
-                            de.owner = -1
-                            de.state = _S if de.sharers else _I
-                        if not de.sharers:
-                            del vset[vline]
-            victim.line = line
-            victim.dirty = is_write
-            victim.state = exclusive
-            llc_set[line] = victim
-        else:
-            llc_set[line] = CacheEntry(line, is_write, exclusive)
-        svc_counts[svc] += 1
-        stall = lat * inv_mlp
-        stall_by_service[svc] += stall
-        return now + stall
-
-    return flat, flush
 
 
 class SimulationEngine:
     """Runs one workload trace through one system configuration."""
 
-    def __init__(
-        self,
-        system: MultiHostSystem,
-        trace: WorkloadTrace,
-        backend: str = "loop",
-    ) -> None:
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown engine backend {backend!r}; choose from {BACKENDS}"
-            )
+    def __init__(self, system: MultiHostSystem, trace: WorkloadTrace) -> None:
         if trace.num_hosts != system.config.num_hosts:
             raise ValueError(
                 f"trace has {trace.num_hosts} hosts, system has "
@@ -829,16 +37,12 @@ class SimulationEngine:
             )
         self.system = system
         self.trace = trace
-        self.backend = backend
-        # Bake the per-host streams once: the SoA arrays feed the vector
-        # backend's batch math, their ``records()`` view feeds the loop
-        # backend (and the vector backend's serialized slow path), and the
-        # stream-wide sanity checks below run as array reductions instead
-        # of per-record Python loops.
+        # Bake the per-host streams once: the run loop replays their
+        # ``records()`` view, and the stream-wide sanity checks below run
+        # as array reductions instead of per-record Python loops.
         total = 0
         self._baked: List[BakedStream] = []
         self._run_streams = []
-        self._instr_totals = []
         for host_id, stream in enumerate(trace.streams):
             total += len(stream)
             ns_per_instr = system.hosts[host_id].core.ns_per_instruction
@@ -853,9 +57,6 @@ class SimulationEngine:
                 )
             self._baked.append(baked)
             self._run_streams.append(baked.records())
-            self._instr_totals.append(
-                sum(record[0] for record in stream)
-            )
         if total == 0:
             raise ValueError(
                 f"trace {trace.name!r} contains no accesses on any host; "
@@ -869,14 +70,6 @@ class SimulationEngine:
         )
 
     def run(self) -> SimulationResult:
-        if self.backend == "vector":
-            return self._run_vector()
-        return self._run_loop()
-
-    # ------------------------------------------------------------------
-    # Loop backend (the reference semantics)
-    # ------------------------------------------------------------------
-    def _run_loop(self) -> SimulationResult:
         system = self.system
         hosts = system.hosts
         streams = self._run_streams
@@ -983,370 +176,14 @@ class SimulationEngine:
         return self._finish(stall_by_service, access_counts)
 
     # ------------------------------------------------------------------
-    # Vector backend (flattened fast path + batched private L1 hits)
-    # ------------------------------------------------------------------
-    def _run_vector(self) -> SimulationResult:
-        system = self.system
-        hosts = system.hosts
-        streams = self._run_streams
-        interval_scheme = system._next_interval is not None
-        injector = system.injector
-        check_stalls = injector is not None and injector.has_stalls
-        check_crash = injector is not None and injector.has_crashes
-        watchdog = system.watchdog
-        check_watchdog = (
-            watchdog is not None and watchdog.period_ns > 0
-        )
-        check_poison = system._check_poison
-        eventful = (
-            interval_scheme or check_stalls or check_watchdog or check_crash
-        )
-        bounded = eventful or check_poison
-
-        stall_by_service = [0.0] * 7
-        svc_l1 = _SVC_L1
-        access = system.access
-        heappop = heapq.heappop
-        heappushpop = heapq.heappushpop
-        lens = [len(stream) for stream in streams]
-        inv_mlp = [host.core.inv_mlp for host in hosts]
-        access_counts = [0] * len(hosts)
-        svc_counts = system.svc_counts
-        cxl_end = system._cxl_end
-        inf = math.inf
-        poisoned = injector.poisoned if check_poison else None
-        array_threshold = _ARRAY_THRESHOLD
-
-        # Per-host fast-path bindings, resolved once: the record stream,
-        # the per-core L1 set dicts, the TLB set dicts, and the host's
-        # flat miss path (None when the configuration rules it out) — so
-        # a heap turn costs one tuple unpack instead of a pile of
-        # attribute lookups.
-        flushes = []
-        per_host = []
-        for host_id, host in enumerate(hosts):
-            made = _make_flat_path(system, host_id, stall_by_service)
-            if made is not None:
-                flat, flush = made
-                flushes.append(flush)
-            else:
-                flat = None
-            tlb_cache = host.tlb._cache
-            per_host.append((
-                streams[host_id],
-                lens[host_id],
-                [(l1, l1._sets, l1._mask) for l1 in host.l1s],
-                len(host.l1s),
-                tlb_cache,
-                tlb_cache._sets,
-                tlb_cache._mask,
-                tlb_cache.ways,
-                flat,
-                host,
-            ))
-
-        heap = [
-            (hosts[h].clock_ns, h, 0)
-            for h in range(len(streams))
-            if streams[h]
-        ]
-        heapq.heapify(heap)
-        item = heappop(heap)
-        while True:
-            clock, host_id, index = item
-            (rec, length, l1m, n_l1, tlb_cache, tlb_sets, tlb_mask,
-             tlb_ways, flat, host) = per_host[host_id]
-            host_clock = host.clock_ns
-            if host_clock > clock:
-                # Management charges moved this host's clock forward;
-                # requeue so interleaving stays time-ordered.
-                item = heappushpop(heap, (host_clock, host_id, index))
-                continue
-            if check_stalls:
-                resume = injector.stall_resume(host_id, clock)
-                if resume is not None and resume > clock:
-                    injector.counters.host_stall_ns += resume - clock
-                    host.clock_ns = resume
-                    item = heappushpop(heap, (resume, host_id, index))
-                    continue
-            if check_crash:
-                resume = injector.crash_resume(host_id, clock)
-                if resume is not None:
-                    if resume == inf:
-                        # Fail-stop with no rejoin: drop the host's
-                        # remaining stream deterministically (counted).
-                        injector.counters.crash_dropped_accesses += (
-                            length - index
-                        )
-                        if heap:
-                            item = heappop(heap)
-                            continue
-                        break
-                    # Dead until the rejoin epoch: pause the stream.
-                    host.clock_ns = resume
-                    item = heappushpop(heap, (resume, host_id, index))
-                    continue
-
-            # ---- burst attempt: the host's flattened fast path --------
-            # ``event_bound`` fences every time-ordered side channel the
-            # loop backend checks per access: crossing any of them must go
-            # through the serialized slow path.  ``heap_bound`` fences the
-            # host's heap turn — an access may run fast only while this
-            # host would still win (strictly) the heappushpop.  Falling
-            # out of the fast path is always safe: the slow path below
-            # re-examines the access from scratch.
-            heap_bound = heap[0][0] if heap else inf
-            event_bound = inf
-            if bounded:
-                if interval_scheme:
-                    event_bound = system._next_interval
-                if check_watchdog and watchdog._next_audit < event_bound:
-                    event_bound = watchdog._next_audit
-                if check_poison and injector.next_poison_ns < event_bound:
-                    event_bound = injector.next_poison_ns
-                if check_stalls:
-                    stall_bound = injector.next_stall_start(host_id, clock)
-                    if stall_bound < event_bound:
-                        event_bound = stall_bound
-                if check_crash:
-                    # No burst may cross a crash/rejoin epoch; while the
-                    # governor holds promotions suspended the fence is 0.0
-                    # so every access runs the serialized slow path.
-                    # simcheck: bails[crash-epoch]
-                    crash_bound = injector.crash_fence(clock)
-                    if crash_bound < event_bound:
-                        event_bound = crash_bound
-            consumed = 0
-            l1_count = 0
-            streak = 0
-            while index < length:
-                compute_ns, addr, is_write, core = rec[index]
-                now = host_clock + compute_ns
-                if now >= event_bound:
-                    break
-                if consumed and host_clock >= heap_bound:
-                    break
-                line = addr >> _LINE_SHIFT
-                if poisoned and line in poisoned:
-                    break
-                l1, l1_sets, l1_mask = l1m[core % n_l1]
-                cache_set = l1_sets[line & l1_mask]
-                entry = cache_set.get(line)
-                if entry is None:
-                    # L1 miss: resolve inline through the host's flat path
-                    # (classify-then-execute, byte-identical to access());
-                    # a None bail hands the access to the slow path intact.
-                    if flat is None:
-                        break
-                    hc = flat(l1, cache_set, addr, line, is_write, now)
-                    if hc is None:
-                        break
-                    host_clock = hc
-                    index += 1
-                    consumed += 1
-                    streak = 0
-                    continue
-                if is_write:
-                    if (
-                        addr < cxl_end
-                        and not entry.dirty
-                        and entry.state == 0
-                    ):
-                        # Write hit on a Shared copy: the S -> M upgrade
-                        # invalidates other hosts — coherence-visible.
-                        break  # simcheck: bails[upgrade-l1-hit]
-                    entry.dirty = True
-                # Commit the hit: exactly lookup()'s move-to-end + counter,
-                # plus the TLB translate the slow path would have charged
-                # (the latency itself is discarded on an L1 hit).
-                del cache_set[line]
-                cache_set[line] = entry
-                l1.hits += 1
-                page = line >> _LINE_TO_PAGE
-                tlb_set = tlb_sets[page & tlb_mask]
-                tlb_entry = tlb_set.get(page)
-                if tlb_entry is not None:
-                    tlb_cache.hits += 1
-                    del tlb_set[page]
-                    tlb_set[page] = tlb_entry
-                else:
-                    tlb_cache.misses += 1
-                    if len(tlb_set) >= tlb_ways:
-                        tlb_set.pop(next(iter(tlb_set)))
-                        tlb_cache.evictions += 1
-                    tlb_set[page] = CacheEntry(page)
-                host_clock = now
-                index += 1
-                consumed += 1
-                l1_count += 1
-                streak += 1
-                if streak >= array_threshold:
-                    index, host_clock, batched = self._array_burst(
-                        host_id, index, host_clock,
-                        heap_bound, event_bound,
-                    )
-                    consumed += batched
-                    l1_count += batched
-                    streak = 0
-            if consumed:
-                if l1_count:
-                    svc_counts[svc_l1] += l1_count
-                access_counts[host_id] += consumed
-                host.clock_ns = host_clock
-                if index < length:
-                    item = heappushpop(heap, (host_clock, host_id, index))
-                    continue
-                if heap:
-                    item = heappop(heap)
-                    continue
-                break
-
-            # ---- serialized slow path (identical to the loop backend) --
-            compute_ns, addr, is_write, core = rec[index]
-            now = host_clock + compute_ns
-            host.clock_ns = now
-            if eventful:
-                if check_crash:
-                    system.maybe_crash(now)
-                    if host_id in injector.crashed:
-                        # This access died with its host at the crash
-                        # epoch: requeue so the next turn pauses or drops
-                        # the stream instead of serving it.
-                        item = heappushpop(heap, (now, host_id, index))
-                        continue
-                if interval_scheme:
-                    system.maybe_tick(now)
-                if check_watchdog:
-                    watchdog.maybe_audit(now)
-            latency, service = access(host_id, core, addr, is_write, now)
-            access_counts[host_id] += 1
-            if service != svc_l1:
-                stall = latency * inv_mlp[host_id]
-                host.clock_ns += stall
-                stall_by_service[service] += stall
-            index += 1
-            if index < length:
-                item = heappushpop(heap, (host.clock_ns, host_id, index))
-            elif heap:
-                item = heappop(heap)
-            else:
-                break
-
-        # Fold the flat paths' deferred integer statistics back into the
-        # live counters before anything reads them.
-        for flush in flushes:
-            flush()
-        return self._finish(stall_by_service, access_counts)
-
-    def _array_burst(self, host_id, index, host_clock, heap_bound,
-                     event_bound):
-        """Resolve a window of guaranteed-private L1 hits as array math.
-
-        Returns ``(new_index, new_host_clock, committed)``.  Probes up to
-        :data:`_ARRAY_WINDOW` upcoming accesses: exact per-access clocks
-        come from a sequential ``cumsum`` seeded with the host clock (the
-        same float additions the scalar path performs), time bounds clip
-        via ``searchsorted``, and per-core residency/upgrade-risk masks
-        come from tag membership against the L1 set state.  The eligible
-        prefix commits in bulk: clock jump, hit counters, bulk LRU
-        reorders + dirty bits (:meth:`SetAssocCache.batch_touch`), and a
-        run-compressed TLB replay.  Everything past the first ineligible
-        access is left for the scalar paths.
-        """
-        system = self.system
-        host = system.hosts[host_id]
-        baked = self._baked[host_id]
-        if host_clock >= heap_bound:
-            # The previous access already reached another host's turn; the
-            # scalar loop will requeue on its next iteration.
-            return index, host_clock, 0
-        stop = min(index + _ARRAY_WINDOW, len(baked))
-        if stop <= index:
-            return index, host_clock, 0
-        compute = baked.compute_ns[index:stop]
-        # Sequential cumulative sum seeded with the live clock reproduces
-        # the scalar path's float additions bit for bit.
-        clocks = np.cumsum(np.concatenate(((host_clock,), compute)))[1:]
-        # now_j < event_bound for every batched access; the heap turn
-        # requires the *previous* access's clock to stay strictly below
-        # the heap top, i.e. clocks[j-1] < heap_bound.
-        limit = int(np.searchsorted(clocks, event_bound, side="left"))
-        if heap_bound < math.inf:
-            limit = min(
-                limit,
-                int(np.searchsorted(clocks, heap_bound, side="left")) + 1,
-            )
-        if limit <= 0:
-            return index, host_clock, 0
-        lines = baked.line[index:index + limit]
-        writes = baked.is_write[index:index + limit]
-        cores = baked.core[index:index + limit]
-        shared_write = writes & (baked.addr[index:index + limit]
-                                 < system._cxl_end)
-        l1s = host.l1s
-        n_l1 = len(l1s)
-        eligible = np.empty(limit, dtype=bool)
-        core_lane = cores % n_l1
-        for lane in range(n_l1):
-            lane_mask = core_lane == lane
-            if not lane_mask.any():
-                continue
-            l1 = l1s[lane]
-            lane_lines = lines[lane_mask]
-            ok = np.isin(lane_lines, l1.resident_line_array())
-            risky = l1.resident_line_array(
-                lambda e: e.state == 0 and not e.dirty
-            )
-            if len(risky):
-                ok &= ~(
-                    shared_write[lane_mask]
-                    & np.isin(lane_lines, risky)
-                )
-            eligible[lane_mask] = ok
-        injector = system.injector
-        if system._check_poison and injector.poisoned:
-            eligible &= ~np.isin(
-                lines,
-                np.fromiter(injector.poisoned, dtype=np.int64),
-            )
-        bad = np.flatnonzero(~eligible)
-        commit = int(bad[0]) if len(bad) else limit
-        if commit <= 0:
-            return index, host_clock, 0
-        lines = lines[:commit]
-        writes = writes[:commit]
-        core_lane = core_lane[:commit]
-        for lane in range(n_l1):
-            lane_mask = core_lane == lane
-            if lane_mask.any():
-                l1s[lane].batch_touch(lines[lane_mask], writes[lane_mask])
-        # TLB replay with page-run compression: one real translate per run
-        # of equal pages; the other run members are guaranteed hits on an
-        # already-MRU entry (the move-to-end is a no-op), so they reduce
-        # to hit-counter increments.
-        pages = baked.page[index:index + commit]
-        run_starts = np.concatenate(
-            ((0,), np.flatnonzero(pages[1:] != pages[:-1]) + 1)
-        )
-        translate = host.tlb.translate
-        for page in pages[run_starts].tolist():
-            translate(page)
-        host.tlb._cache.hits += commit - len(run_starts)
-        return (
-            index + commit,
-            float(clocks[commit - 1]),
-            commit,
-        )
-
-    # ------------------------------------------------------------------
-    # Shared epilogue
+    # Epilogue
     # ------------------------------------------------------------------
     def _finish(self, stall_by_service, access_counts) -> SimulationResult:
         system = self.system
         hosts = system.hosts
         access_total = 0
         for host_id, host in enumerate(hosts):
-            host.instructions += self._instr_totals[host_id]
+            host.instructions += self._baked[host_id].instructions
             host.accesses += access_counts[host_id]
             access_total += access_counts[host_id]
 
@@ -1421,7 +258,6 @@ def simulate(
     trace: WorkloadTrace,
     scheme: MigrationScheme,
     config: Optional[SystemConfig] = None,
-    backend: str = "loop",
     **system_kwargs,
 ) -> SimulationResult:
     """Convenience: build a system for ``scheme`` and run ``trace``."""
@@ -1433,4 +269,4 @@ def simulate(
     system = MultiHostSystem(
         config, scheme, workload_mlp=trace.mlp, **system_kwargs
     )
-    return SimulationEngine(system, trace, backend=backend).run()
+    return SimulationEngine(system, trace).run()

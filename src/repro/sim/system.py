@@ -26,7 +26,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .. import units
 from ..analysis.harmful import MigrationLedger
-from ..cache.directory import SlicedDirectory
+from ..cache.directory import DirectoryEntry, SlicedDirectory
+from ..cache.sa_cache import CacheEntry
 from ..config import SystemConfig
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
@@ -42,7 +43,8 @@ from ..mem.cxl_link import (
 )
 from ..mem.fabric import FabricTopology
 from ..pipm.engine import PipmEngine
-from ..pipm.remap_global import NO_HOST
+from ..pipm.remap_cache import RemapCache
+from ..pipm.remap_global import NO_HOST, GlobalRemapEntry
 from ..pipm.remap_local import LEAF_ENTRIES
 from ..policies.base import Mechanism, MigrationScheme
 from ..policies.costs import KernelCostModel
@@ -67,7 +69,66 @@ _SVC_INTER = int(ServicePoint.INTER_HOST)
 _LINES_MASK = units.LINES_PER_PAGE - 1
 _LINE_TO_PAGE = units.PAGE_SHIFT - units.LINE_SHIFT
 _LINE_SHIFT = units.LINE_SHIFT
+_PAGE_SHIFT = units.PAGE_SHIFT
 _CACHE_LINE = units.CACHE_LINE
+
+
+class _HostBindings:
+    """One host's access-path objects, resolved once at construction.
+
+    Everything bound here is mutated in place for the lifetime of the
+    system (a crash purge clears cache sets, it never replaces them), so
+    the bindings never go stale.  ``l1_lanes`` holds ``(cache, sets,
+    mask, ways)`` per core lane; the ``lrc*`` fields are the local remap
+    cache's sets (``None`` without PIPM or for an infinite cache).
+    """
+
+    __slots__ = ("host", "tlb", "tlb_sets", "tlb_mask", "tlb_ways",
+                 "lat_tlb_hit", "lat_tlb_miss", "l1_lanes", "n_l1", "llc",
+                 "llc_sets", "llc_mask", "llc_ways", "local_chans",
+                 "n_local", "path", "pt_mapped", "lrc", "lrc_sets",
+                 "lrc_mask", "lrc_ways", "local_table", "local_entries")
+
+    def __init__(self, system: "MultiHostSystem", host_id: int) -> None:
+        host = self.host = system.hosts[host_id]
+        tlb = host.tlb
+        self.tlb = tlb_cache = tlb._cache
+        self.tlb_sets = tlb_cache._sets
+        self.tlb_mask = tlb_cache._mask
+        self.tlb_ways = tlb_cache.ways
+        # translate() returns hit_ns (+ walk_ns on a miss) and access()
+        # adds l1_ns to it: the same additions, done once.
+        self.lat_tlb_hit = tlb.hit_ns + system._l1_ns
+        self.lat_tlb_miss = (tlb.hit_ns + tlb.walk_ns) + system._l1_ns
+        self.l1_lanes = [(l1, l1._sets, l1._mask, l1.ways)
+                         for l1 in host.l1s]
+        self.n_l1 = len(host.l1s)
+        llc = self.llc = host.llc
+        self.llc_sets = llc._sets
+        self.llc_mask = llc._mask
+        self.llc_ways = llc.ways
+        self.local_chans = host.local_mem.pool.channels
+        self.n_local = len(self.local_chans)
+        self.path = system.paths[host_id]
+        self.pt_mapped = host.page_table._mapped
+        lru_caches = [tlb_cache, llc, *host.l1s]
+        self.lrc = self.lrc_sets = None
+        self.local_table = self.local_entries = None
+        self.lrc_mask = self.lrc_ways = 0
+        if system._is_pipm:
+            cache = system.engine.local_caches[host_id]
+            if type(cache) is RemapCache:
+                self.lrc = lrc = cache._cache
+                self.lrc_sets = lrc._sets
+                self.lrc_mask = lrc._mask
+                self.lrc_ways = lrc.ways
+                lru_caches.append(lrc)
+            self.local_table = system.engine.local_tables[host_id]
+            self.local_entries = self.local_table._entries
+        if not all(cache._lru for cache in lru_caches):
+            raise ValueError(
+                f"host {host_id}: the access path models LRU caches only"
+            )
 
 
 class MultiHostSystem:
@@ -100,13 +161,12 @@ class MultiHostSystem:
         # host's route to the memory node into a path object.  Under the
         # flat preset ``paths[h] is links[h]`` (the bare CxlLink), so the
         # default topology cannot perturb a float of the pre-fabric model;
-        # switched presets route through shared, contended segments and the
-        # vector backend's flat fast path stands down.
+        # switched presets route through shared, contended segments.
         self.topology = FabricTopology(
             config.fabric, config.cxl_link, config.num_hosts, self.stats
         )
         self.links = self.topology.links
-        self.paths = self.topology.paths  # simcheck: escalates[switched-path]
+        self.paths = self.topology.paths
         self.device_dir = SlicedDirectory(
             config.directory.sets,
             config.directory.ways,
@@ -135,9 +195,7 @@ class MultiHostSystem:
             self.injector = FaultInjector(plan)
             for h, link in enumerate(self.links):
                 link.attach_faults(self.injector.link(h))
-            self._faults_on = (  # simcheck: escalates[faults-active]
-                self.injector.can_disrupt_transfers
-            )
+            self._faults_on = self.injector.can_disrupt_transfers
             self.watchdog = InvariantWatchdog(
                 self,
                 mode=config.faults.watchdog_mode,
@@ -277,19 +335,81 @@ class MultiHostSystem:
         self.peak_local_lines: Dict[int, int] = {}
         self.back_invalidations = 0
 
+        # -- access-path bindings (resolved once; see access()) -----------
+        device_dir = self.device_dir
+        self._dir_arrays = device_dir._arrays
+        self._dir_sets_per_slice = device_dir.sets_per_slice
+        self._dir_slices = device_dir.slices
+        self._dir_mask = device_dir._mask
+        self._dir_ways = device_dir.ways
+        self._cxl_chans = self.cxl_mem.pool.channels
+        self._n_cxl = len(self._cxl_chans)
+        self._num_hosts = config.num_hosts
+        self._static_map = False
+        self._grc = self._grc_sets = None
+        self._grc_mask = self._grc_ways = 0
+        if self._is_pipm:
+            engine = self.engine
+            self._static_map = engine.static_map
+            self._pinned = engine._pinned_cxl
+            self._global_entries = engine.global_table._entries
+            vote = engine.vote
+            self._vote_threshold = vote.threshold
+            self._global_max = vote._global_max
+            self._local_max = vote._local_max
+            if type(engine.global_cache) is RemapCache:
+                grc = self._grc = engine.global_cache._cache
+                if not grc._lru:
+                    raise ValueError(
+                        "the access path models LRU remap caches only"
+                    )
+                self._grc_sets = grc._sets
+                self._grc_mask = grc._mask
+                self._grc_ways = grc.ways
+        self._bindings = [
+            _HostBindings(self, h) for h in range(config.num_hosts)
+        ]
+
     # ==================================================================
     # The access path
     # ==================================================================
     def access(
         self, host_id: int, core: int, addr: int, is_write: bool, now: float
     ) -> Tuple[float, int]:
-        """Service one memory access; returns ``(latency_ns, service_point)``."""
+        """Service one memory access; returns ``(latency_ns, service_point)``.
+
+        The TLB, L1, LLC, remap-cache and device-directory probes, fills
+        and LRU evictions run inline on the host's preresolved sets; DRAM
+        and link timing stay in :class:`DramChannel` and the host's
+        resolved fabric path.  Rare flows (S -> M upgrades, dirty-owner
+        forwards, GIM non-cacheable accesses, PIPM inter-host accesses and
+        promotions, poison) call the helpers below.
+        """
+        b = self._bindings[host_id]
         line = addr >> _LINE_SHIFT
         page = line >> _LINE_TO_PAGE
-        host = self.hosts[host_id]
-
         shared = addr < self._cxl_end
-        lat = host.tlb.translate(page) + self._l1_ns
+
+        # TLB translate: a miss pays the walk and fills the entry.
+        tlb = b.tlb
+        tlb_set = b.tlb_sets[page & b.tlb_mask]
+        tlb_entry = tlb_set.get(page)
+        if tlb_entry is not None:
+            tlb.hits += 1
+            del tlb_set[page]
+            tlb_set[page] = tlb_entry
+            lat = b.lat_tlb_hit
+        else:
+            tlb.misses += 1
+            if len(tlb_set) >= b.tlb_ways:
+                tlb.evictions += 1
+                # Recycle the victim: TLB entries carry only their page.
+                tlb_entry = tlb_set.pop(next(iter(tlb_set)))
+                tlb_entry.line = page
+                tlb_set[page] = tlb_entry
+            else:
+                tlb_set[page] = CacheEntry(page)
+            lat = b.lat_tlb_miss
 
         if self._check_poison:
             injector = self.injector
@@ -301,145 +421,417 @@ class MultiHostSystem:
                 # from the device before the access can be served.
                 injector.clear_poison(line)
                 lat += injector.poison_penalty_ns
-        l1s = host.l1s
-        l1 = l1s[core % len(l1s)]
-        entry = l1.lookup(line)
+
+        l1, l1_sets, l1_mask, l1_ways = b.l1_lanes[core % b.n_l1]
+        l1_set = l1_sets[line & l1_mask]
+        entry = l1_set.get(line)
         if entry is not None:
+            l1.hits += 1
+            del l1_set[line]
+            l1_set[line] = entry
             if is_write:
                 if shared and not entry.dirty and entry.state == 0:
                     # Write hit on a Shared copy: S -> M upgrade must
                     # invalidate the other hosts' copies first.
-                    # simcheck: escalates[upgrade-l1-hit]
                     lat += self._upgrade(host_id, line, now)
                     entry.state = 1
-                    llc_copy = host.llc.peek(line)
+                    llc_copy = b.llc_sets[line & b.llc_mask].get(line)
                     if llc_copy is not None:
                         llc_copy.state = 1
                         llc_copy.dirty = True
                 entry.dirty = True
             self.svc_counts[_SVC_L1] += 1
             return lat, _SVC_L1
+        l1.misses += 1
 
         # Kernel-migrated pages are non-cacheable at *other* hosts: skip the
         # cache hierarchy entirely (Section 3.1).
+        loc = None
         if shared and self._is_page_map:
             loc = self.page_map.get(page)
             if loc is not None and loc != host_id:
-                # simcheck: escalates[inter-host-page]
                 return self._inter_host_nc(host_id, loc, page, addr,
                                            is_write, now, lat)
-        else:
-            loc = None
 
-        llc_entry = host.llc.lookup(line)
+        llc = b.llc
+        llc_sets = b.llc_sets
+        llc_mask = b.llc_mask
+        llc_set = llc_sets[line & llc_mask]
+        llc_entry = llc_set.get(line)
         lat += self._llc_ns
         if llc_entry is not None:
+            llc.hits += 1
+            del llc_set[line]
+            llc_set[line] = llc_entry
             if is_write and not llc_entry.dirty and llc_entry.state == 0:
                 # Upgrade an S copy: other sharers must be invalidated.
-                # simcheck: escalates[upgrade-llc-hit]
                 lat += self._upgrade(host_id, line, now)
                 llc_entry.state = 1
             if is_write:
                 llc_entry.dirty = True
-            self._fill_l1(host, l1, line, is_write,
-                          exclusive=llc_entry.state or 0)
-            self.svc_counts[_SVC_LLC] += 1
-            return lat, _SVC_LLC
-
-        if not shared:
-            # Host-private data (stacks, code, kernel structures).
-            lat += self._ldir_ns + host.local_mem.read_line(addr, now)
-            self._fill(host, l1, line, page, is_write, exclusive=True, now=now)
-            self.svc_counts[_SVC_LOCAL] += 1
-            return lat, _SVC_LOCAL
-
-        if self.all_local:
-            # Local-only / Ideal: everything served at local latency.
-            lat += self._ldir_ns + host.local_mem.read_line(addr, now)
-            self._fill(host, l1, line, page, is_write, exclusive=True, now=now)
-            self.svc_counts[_SVC_LOCAL] += 1
-            return lat, _SVC_LOCAL
-
-        host.page_table.touch(page)
-
-        if self._is_pipm:
-            return self._shared_pipm(host_id, l1, line, page, addr,
-                                     is_write, now, lat)
-
-        if self._is_page_map:
-            self.scheme.observe_shared_access(host_id, page, now, is_write)
-            if loc == host_id:
-                # Our own migrated page: a plain local-memory access.
-                if self.ledger is not None:
-                    self.ledger.record_local_access(page)
-                if is_write:
-                    self.dirty_pages.add(page)
-                lat += self._ldir_ns + host.local_mem.read_line(addr, now)
-                self._fill(host, l1, line, page, is_write, exclusive=True,
-                           now=now)
-                self.svc_counts[_SVC_LOCAL] += 1
-                return lat, _SVC_LOCAL
-
-        # Baseline cacheable CXL-DSM access (native / page in CXL).
-        extra, svc, exclusive = self._cxl_access(host_id, line, addr,
-                                                 is_write, now)
-        self._fill(host, l1, line, page, is_write, exclusive=exclusive,
-                   now=now)
-        self.svc_counts[svc] += 1
-        return lat + extra, svc
-
-    # ------------------------------------------------------------------
-    # Baseline CXL-DSM workflows (Fig. 2)
-    # ------------------------------------------------------------------
-    def _cxl_access(
-        self, host_id: int, line: int, addr: int, is_write: bool, now: float
-    ) -> Tuple[float, int, bool]:
-        """2-hop cacheable CXL access, or 4-hop dirty-owner forward.
-
-        Returns ``(latency, service_point, exclusive)`` — ``exclusive`` is
-        True when the requester ends up the line's only holder (M, or S
-        with no other sharers), which decides whether a later write hit
-        needs an upgrade transaction.
-        """
-        path = self.paths[host_id]
-        lat = path.round_trip(now, CONTROL_BYTES, _CACHE_LINE)
-        lat += self._ddir_ns
-        entry = self.device_dir.lookup(line)
-        svc = _SVC_CXL
-        if (
-            entry is not None
-            and entry.state == _M
-            and entry.owner != host_id
-            and entry.owner >= 0
-            and self.hosts[entry.owner].holds_line(line)
-        ):
-            owner = entry.owner  # simcheck: escalates[dirty-owner-forward]
-            # Forward to the owner; dirty data returns via the CXL node.
-            pair = self.topology.pair(host_id, owner)
-            lat += (
-                pair.owner.round_trip(now, CONTROL_BYTES, _CACHE_LINE)
-                + self._ldir_ns
-                + self._llc_ns
-            )
-            if is_write:
-                self.hosts[owner].invalidate_line(line)
-            else:
-                self.hosts[owner].downgrade_line(line)
-            self.cxl_mem.write_line(addr, now)  # async writeback (occupancy)
-            svc = _SVC_FWD
+            exclusive = llc_entry.state or 0
+            svc = _SVC_LLC
         else:
-            lat += self.cxl_mem.read_line(addr, now)
+            llc.misses += 1
+            to_cxl = False
+            if not shared or self.all_local:
+                # Host-private data (stacks, code, kernel structures), or
+                # a Local-only / Ideal scheme: served at local latency.
+                chans = b.local_chans
+                lat += self._ldir_ns + chans[
+                    (addr >> _PAGE_SHIFT) % b.n_local
+                ].access(addr, now)
+                exclusive = 1
+                svc = _SVC_LOCAL
+            elif self._is_pipm:
+                b.pt_mapped.add(page)
+                engine = self.engine
+                line_in_page = line & _LINES_MASK
+                # Local remapping lookup decides I vs I' (Section 4.3.3).
+                lrc_sets = b.lrc_sets
+                if lrc_sets is None:
+                    cache_hit = engine.local_caches[host_id].probe(page)
+                else:
+                    lrc = b.lrc
+                    lrc_set = lrc_sets[page & b.lrc_mask]
+                    remap = lrc_set.get(page)
+                    cache_hit = remap is not None
+                    if cache_hit:
+                        lrc.hits += 1
+                        del lrc_set[page]
+                        lrc_set[page] = remap
+                    else:
+                        lrc.misses += 1
+                pentry = b.local_entries.get(page)
+                if (
+                    pentry is None
+                    and self._static_map
+                    and page % self._num_hosts == host_id
+                ):
+                    # HW-static materializes its statically homed entries
+                    # on first touch.
+                    pfn = engine.frames[host_id].alloc()
+                    if pfn is not None:
+                        pentry = b.local_table.insert(page, pfn)
+                lat += self._lrc_ns
+                if not cache_hit:
+                    # Negative results are cached too, so a page with no
+                    # entry does not re-walk the radix table on every miss.
+                    if lrc_sets is None:
+                        engine.local_caches[host_id].install(page)
+                    elif len(lrc_set) >= b.lrc_ways:
+                        lrc.evictions += 1
+                        remap = lrc_set.pop(next(iter(lrc_set)))
+                        remap.line = page
+                        lrc_set[page] = remap
+                    else:
+                        lrc_set[page] = CacheEntry(page)
+                    # Two-level radix walk in local DRAM: one read per
+                    # level, each at the table's own address.
+                    chans = b.local_chans
+                    n_local = b.n_local
+                    walk = self._local_root_base + (
+                        page // LEAF_ENTRIES // _ROOT_PTRS_PER_LINE
+                        << _LINE_SHIFT
+                    )
+                    lat += chans[(walk >> _PAGE_SHIFT) % n_local].access(
+                        walk, now
+                    )
+                    walk = self._local_leaf_base + (
+                        page // self._leaf_entries_per_line << _LINE_SHIFT
+                    )
+                    lat += chans[(walk >> _PAGE_SHIFT) % n_local].access(
+                        walk, now
+                    )
 
-        new_entry = self._dir_update(host_id, line, is_write, entry, now)
-        exclusive = is_write or len(new_entry.sharers) <= 1
-        return lat, svc, exclusive
+                if pentry is not None and (
+                    pentry.migrated_lines >> line_in_page & 1
+                ):
+                    # Case 3 of Fig. 9: I' -> ME, served from local memory.
+                    if pentry.counter < self._local_max:
+                        pentry.counter += 1
+                    chans = b.local_chans
+                    lat += self._ldir_ns + chans[
+                        (addr >> _PAGE_SHIFT) % b.n_local
+                    ].access(addr, now)
+                    exclusive = 1
+                    svc = _SVC_PIPM
+                else:
+                    if pentry is not None:
+                        # The page is partially migrated here but this line
+                        # still lives in CXL memory; the access still
+                        # counts as local interest.
+                        if pentry.counter < self._local_max:
+                            pentry.counter += 1
+                    # -> CXL memory node.  The global remapping lookup
+                    # rides the device-directory request/response, so
+                    # only the cache probe (and a table walk on a miss)
+                    # adds latency here.
+                    lat += self._grc_ns
+                    grc_sets = self._grc_sets
+                    if grc_sets is None:
+                        global_hit = engine.global_cache.probe(page)
+                        if not global_hit:
+                            engine.global_cache.install(page)
+                    else:
+                        grc = self._grc
+                        grc_set = grc_sets[page & self._grc_mask]
+                        remap = grc_set.get(page)
+                        global_hit = remap is not None
+                        if global_hit:
+                            grc.hits += 1
+                            del grc_set[page]
+                            grc_set[page] = remap
+                        else:
+                            grc.misses += 1
+                            if len(grc_set) >= self._grc_ways:
+                                grc.evictions += 1
+                                remap = grc_set.pop(next(iter(grc_set)))
+                                remap.line = page
+                                grc_set[page] = remap
+                            else:
+                                grc_set[page] = CacheEntry(page)
+                    if not global_hit:
+                        # Global remapping table access in CXL DRAM, in
+                        # the table's own address region.
+                        walk = self._global_table_base + (
+                            page // self._global_entries_per_line
+                            << _LINE_SHIFT
+                        )
+                        lat += self._cxl_chans[
+                            (walk >> _PAGE_SHIFT) % self._n_cxl
+                        ].access(walk, now)
 
-    def _dir_update(self, host_id, line, is_write, entry, now):
+                    gentry = None
+                    if self._static_map:
+                        current = page % self._num_hosts
+                        if current == host_id:
+                            current = NO_HOST  # a plain CXL access below
+                    else:
+                        gentry = self._global_entries.get(page)
+                        current = (NO_HOST if gentry is None
+                                   else gentry.current_host)
+
+                    to_cxl = True
+                    if current != NO_HOST and current != host_id:
+                        served = self._pipm_inter_host(
+                            host_id, current, line, page, addr, is_write,
+                            now, lat,
+                        )
+                        if served is not None:
+                            # Cases 2/5/6: the line migrated back and is
+                            # cached here exclusive.
+                            lat = served
+                            exclusive = 1
+                            svc = _SVC_INTER
+                            to_cxl = False
+                        # Otherwise the line was not migrated (or the
+                        # migration aborted): a plain CXL access.
+                    elif current == NO_HOST and not (
+                        self._governed
+                        and self.injector.promotion_blocked(host_id, now)
+                    ):
+                        # (Graceful degradation skips the vote while this
+                        # host's link runs degraded or the migration
+                        # governor holds promotions suspended.)
+                        if (
+                            not self._static_map
+                            and page not in self._pinned
+                        ):
+                            self._vote(gentry, page, host_id)
+            else:
+                b.pt_mapped.add(page)
+                to_cxl = True
+                if self._is_page_map:
+                    self.scheme.observe_shared_access(host_id, page, now,
+                                                      is_write)
+                    if loc == host_id:
+                        # Our own migrated page: a plain local access.
+                        if self.ledger is not None:
+                            self.ledger.record_local_access(page)
+                        if is_write:
+                            self.dirty_pages.add(page)
+                        chans = b.local_chans
+                        lat += self._ldir_ns + chans[
+                            (addr >> _PAGE_SHIFT) % b.n_local
+                        ].access(addr, now)
+                        exclusive = 1
+                        svc = _SVC_LOCAL
+                        to_cxl = False
+
+            if to_cxl:
+                # Baseline cacheable CXL-DSM access (Fig. 2): a 2-hop
+                # round trip, or a 4-hop forward to a dirty owner.
+                extra = b.path.round_trip(now, CONTROL_BYTES, _CACHE_LINE)
+                extra += self._ddir_ns
+                dset = self._dir_arrays[
+                    (line // self._dir_sets_per_slice) % self._dir_slices
+                ][line & self._dir_mask]
+                device_dir = self.device_dir
+                device_dir.lookups += 1
+                dentry = dset.get(line)
+                svc = _SVC_CXL
+                if dentry is not None:
+                    device_dir.hits += 1
+                    del dset[line]
+                    dset[line] = dentry
+                    owner = dentry.owner
+                    if (
+                        dentry.state == _M
+                        and owner != host_id
+                        and owner >= 0
+                        and self.hosts[owner].holds_line(line)
+                    ):
+                        extra += self._owner_forward(host_id, owner, line,
+                                                     addr, is_write, now)
+                        svc = _SVC_FWD
+                if svc == _SVC_CXL:
+                    extra += self._cxl_chans[
+                        (addr >> _PAGE_SHIFT) % self._n_cxl
+                    ].access(addr, now)
+                # Directory update.  A capacity victim is recalled before
+                # the new entry is linked in (the recall never touches
+                # this directory set) and its entry object is reused.
+                if is_write:
+                    if dentry is not None:
+                        sharers = dentry.sharers
+                        if len(sharers) != 1 or host_id not in sharers:
+                            for sharer in sorted(sharers):
+                                if sharer != host_id:
+                                    self.hosts[sharer].invalidate_line(line)
+                        dentry.state = _M
+                        dentry.owner = host_id
+                    elif len(dset) >= self._dir_ways:
+                        dentry = dset.pop(next(iter(dset)))
+                        device_dir.capacity_evictions += 1
+                        self._back_invalidate(dentry, now)
+                        dentry.line = line
+                        dentry.state = _M
+                        dentry.owner = host_id
+                        dset[line] = dentry
+                    else:
+                        dentry = DirectoryEntry(line, _M, host_id)
+                        dset[line] = dentry
+                    dentry.sharers = {host_id}
+                    exclusive = 1
+                elif dentry is not None:
+                    dentry.state = _S
+                    sharers = dentry.sharers
+                    if sharers and (len(sharers) != 1
+                                    or host_id not in sharers):
+                        # E -> S downgrade: earlier sole holders lose
+                        # exclusivity.
+                        for sharer in sorted(sharers):
+                            if sharer != host_id:
+                                self._drop_exclusivity(sharer, line)
+                    sharers.add(host_id)
+                    exclusive = 1 if len(sharers) <= 1 else 0
+                else:
+                    if len(dset) >= self._dir_ways:
+                        dentry = dset.pop(next(iter(dset)))
+                        device_dir.capacity_evictions += 1
+                        self._back_invalidate(dentry, now)
+                        dentry.line = line
+                        dentry.state = _S
+                        dentry.owner = -1
+                        dentry.sharers = {host_id}
+                        dset[line] = dentry
+                    else:
+                        dentry = DirectoryEntry(line, _S, -1)
+                        dentry.sharers.add(host_id)
+                        dset[line] = dentry
+                    exclusive = 1
+                lat = lat + extra
+
+        # L1 fill (a dirty L1 victim marks its LLC copy dirty).
+        if len(l1_set) >= l1_ways:
+            l1.evictions += 1
+            victim = l1_set.pop(next(iter(l1_set)))
+            if victim.dirty:
+                vline = victim.line
+                llc_copy = llc_sets[vline & llc_mask].get(vline)
+                if llc_copy is not None:
+                    llc_copy.dirty = True
+            victim.line = line
+            victim.dirty = is_write
+            victim.state = exclusive
+            l1_set[line] = victim
+        else:
+            l1_set[line] = CacheEntry(line, is_write, exclusive)
+
+        if llc_entry is None:
+            # LLC fill.  The victim is handled before the fill is linked
+            # in (eviction handling never reads this LLC set) and its
+            # entry object is reused.
+            if len(llc_set) >= b.llc_ways:
+                llc.evictions += 1
+                victim = llc_set.pop(next(iter(llc_set)))
+                self._handle_llc_eviction(b.host, victim, now)
+                victim.line = line
+                victim.dirty = is_write
+                victim.state = exclusive
+                llc_set[line] = victim
+            else:
+                llc_set[line] = CacheEntry(line, is_write, exclusive)
+        self.svc_counts[svc] += 1
+        return lat, svc
+
+    def _vote(self, gentry, page: int, host_id: int) -> None:
+        """Majority vote for a CXL access to a non-migrated page.
+
+        A vote that crosses the promotion threshold goes through
+        :meth:`PipmEngine.record_cxl_access`, which promotes the page.
+        """
+        if gentry is None:
+            # Step 1 of Fig. 7 on a never-touched page.
+            gentry = GlobalRemapEntry()
+            self._global_entries[page] = gentry
+        counter = gentry.counter
+        candidate = gentry.candidate_host
+        if candidate == NO_HOST or counter == 0:
+            gentry.candidate_host = host_id
+            gentry.counter = 1
+        elif candidate == host_id:
+            if counter < self._global_max:
+                counter += 1
+            if counter >= self._vote_threshold:
+                dest = self.engine.record_cxl_access(page, host_id)
+                if dest is not None:
+                    self.migrations += 1
+                    self._track_engine_peaks(dest)
+            else:
+                gentry.counter = counter
+        else:
+            gentry.counter = counter - 1
+
+    # ------------------------------------------------------------------
+    # Coherence helpers (Fig. 2) for the rare flows
+    # ------------------------------------------------------------------
+    def _owner_forward(
+        self, host_id: int, owner: int, line: int, addr: int,
+        is_write: bool, now: float,
+    ) -> float:
+        """4-hop forward to a dirty owner; the data returns via the CXL node.
+
+        Returns the latency the forward adds to the requester's 2-hop
+        round trip.
+        """
+        pair = self.topology.pair(host_id, owner)
+        lat = (
+            pair.owner.round_trip(now, CONTROL_BYTES, _CACHE_LINE)
+            + self._ldir_ns
+            + self._llc_ns
+        )
         if is_write:
-            if entry is not None:
-                for sharer in sorted(entry.sharers):
-                    if sharer != host_id:
-                        self.hosts[sharer].invalidate_line(line)
+            self.hosts[owner].invalidate_line(line)
+        else:
+            self.hosts[owner].downgrade_line(line)
+        self.cxl_mem.write_line(addr, now)  # async writeback (occupancy)
+        return lat
+
+    def _dir_update(self, host_id, line, is_write, now):
+        """Directory update for a line migrated back by an inter-host access."""
+        if is_write:
             new_entry, victim = self.device_dir.allocate(line, _M, host_id)
             new_entry.sharers = {host_id}
         else:
@@ -453,7 +845,6 @@ class MultiHostSystem:
             new_entry.sharers.add(host_id)
         if victim is not None:
             self._back_invalidate(victim, now)
-        return new_entry
 
     def _drop_exclusivity(self, host_id: int, line: int) -> None:
         host = self.hosts[host_id]
@@ -538,148 +929,68 @@ class MultiHostSystem:
     # ------------------------------------------------------------------
     # PIPM workflows (Figs. 7 and 9)
     # ------------------------------------------------------------------
-    def _shared_pipm(
-        self, host_id, l1, line, page, addr, is_write, now, lat
-    ) -> Tuple[float, int]:
+    def _pipm_inter_host(
+        self, host_id, current, line, page, addr, is_write, now, lat
+    ) -> Optional[float]:
+        """An access to a page partially migrated to another host.
+
+        Returns the latency when the line migrates back and is served
+        4-hop from the owner (the caller fills it exclusive), or ``None``
+        when the line was not migrated (or the migration aborted) and the
+        access continues as a plain CXL access.
+        """
         engine = self.engine
-        host = self.hosts[host_id]
         line_in_page = line & _LINES_MASK
-
-        # Local remapping lookup decides I vs I' (Section 4.3.3).
-        entry, cache_hit = engine.local_lookup(host_id, page)
-        lat += self._lrc_ns
-        if not cache_hit:
-            # Two-level radix walk in local DRAM: one read per level, each
-            # at the table's own address.  (This used to charge ``2 *
-            # read_line(addr)`` — doubling a single occupancy/row-buffer
-            # charge and aliasing the walk into the data line's row.)
-            root = page // LEAF_ENTRIES
-            lat += host.local_mem.read_line(
-                self._local_root_base
-                + (root // _ROOT_PTRS_PER_LINE << units.LINE_SHIFT),
-                now,
-            )
-            lat += host.local_mem.read_line(
-                self._local_leaf_base
-                + (page // self._leaf_entries_per_line << units.LINE_SHIFT),
-                now,
-            )
-
-        if entry is not None and entry.line_migrated(line_in_page):
-            # Case 3 of Fig. 9: I' -> ME, served from local memory.
-            engine.record_local_access(entry)
-            lat += self._ldir_ns + host.local_mem.read_line(addr, now)
-            self._fill(host, l1, line, page, is_write, exclusive=True, now=now)
-            self.svc_counts[_SVC_PIPM] += 1
-            return lat, _SVC_PIPM
-
-        if entry is not None:
-            # The page is partially migrated here but this line still lives
-            # in CXL memory; the access still counts as local interest.
-            engine.record_local_access(entry)
-
-        # -> CXL memory node.  The global remapping lookup rides the same
-        # request/response the device-directory transaction uses, so only
-        # the cache probe (and a table walk on a miss) adds latency; the
-        # link round-trip itself is charged by the serving path below.
-        lat += self._grc_ns
-        if not engine.device_lookup(page):
-            # Global remapping table access in CXL DRAM, in the table's own
-            # address region.  (This used to read ``page << PAGE_SHIFT`` —
-            # the data page's first line — so every table-walk miss warmed
-            # the row buffer for the data read and faked a row hit.)
-            lat += self.cxl_mem.read_line(
-                self._global_table_base
-                + (page // self._global_entries_per_line
-                   << units.LINE_SHIFT),
-                now,
-            )
-
-        if engine.static_map:
-            current = engine.static_home(page)
-            if current == host_id:
-                current = NO_HOST  # handled as a plain CXL access below
-        else:
-            current = engine.global_table.current_host(page)
-
-        if current != NO_HOST and current != host_id:
-            # simcheck: escalates[pipm-inter-host]
-            # Under fault injection the migrate-back/revocation sequence is
-            # transactional: snapshot first, roll back on a failed transfer
-            # and degrade to a direct device access.
-            txn = engine.begin_txn(current, page) if self._faults_on else None
-            pair = self.topology.pair(host_id, current)
-            migrated, revoked = engine.inter_host_access(
-                current, page, line_in_page
-            )
-            aborted = False
-            if revoked:
-                try:
-                    self._revocation_transfer(current, page, revoked, now)
-                except LinkTransferError as exc:
-                    self._abort_migration(txn, exc)
-                    aborted = True
-            if migrated and not aborted:
-                # Cases 2/5/6: 4-hop to the owner's local memory; the line
-                # migrates back to CXL and the requester caches it normally.
-                owner_host = self.hosts[current]
-                try:
-                    if txn is not None:
-                        owner_rtt = pair.owner.try_round_trip(
-                            now, CONTROL_BYTES, units.CACHE_LINE
-                        )
-                    else:
-                        owner_rtt = pair.owner.round_trip(
-                            now, CONTROL_BYTES, units.CACHE_LINE
-                        )
-                except LinkTransferError as exc:
-                    self._abort_migration(txn, exc)
-                    aborted = True
-                if not aborted:
-                    lat += pair.requester.round_trip(
-                        now, CONTROL_BYTES, units.CACHE_LINE
-                    )
-                    lat += self._ddir_ns
-                    lat += self.cxl_mem.read_line(addr, now)  # verify I' bit
-                    lat += owner_rtt
-                    lat += self._ldir_ns
-                    if owner_host.holds_line(line):  # ME cached (cases 5/6)
-                        lat += self._llc_ns
-                        if is_write:
-                            owner_host.invalidate_line(line)
-                        else:
-                            owner_host.downgrade_line(line)
-                    else:
-                        lat += owner_host.local_mem.read_line(addr, now)
-                    self.cxl_mem.write_line(addr, now)  # async migrate-back
-                    self._dir_update(host_id, line, is_write, None, now)
-                    self._fill(host, l1, line, page, is_write, exclusive=True,
-                               now=now)
-                    self.svc_counts[_SVC_INTER] += 1
-                    return lat, _SVC_INTER
-            # Line not migrated (or the migration aborted): fall through to
-            # the plain CXL access.
-
-        if current == NO_HOST:
-            if self._governed and self.injector.promotion_blocked(host_id, now):
-                # Graceful degradation: no vote progress and no new partial
-                # migrations while this host's link runs degraded or the
-                # migration governor holds promotions suspended (link flap
-                # hysteresis / crash recovery in progress).
-                pass
+        # Under fault injection the migrate-back/revocation sequence is
+        # transactional: snapshot first, roll back on a failed transfer
+        # and degrade to a direct device access.
+        txn = engine.begin_txn(current, page) if self._faults_on else None
+        pair = self.topology.pair(host_id, current)
+        migrated, revoked = engine.inter_host_access(
+            current, page, line_in_page
+        )
+        aborted = False
+        if revoked:
+            try:
+                self._revocation_transfer(current, page, revoked, now)
+            except LinkTransferError as exc:
+                self._abort_migration(txn, exc)
+                aborted = True
+        if not migrated or aborted:
+            return None
+        # Cases 2/5/6: 4-hop to the owner's local memory; the line
+        # migrates back to CXL and the requester caches it normally.
+        owner_host = self.hosts[current]
+        try:
+            if txn is not None:
+                owner_rtt = pair.owner.try_round_trip(
+                    now, CONTROL_BYTES, units.CACHE_LINE
+                )
             else:
-                # simcheck: escalates[pipm-promotion]
-                dest = engine.record_cxl_access(page, host_id)
-                if dest is not None:
-                    self.migrations += 1
-                    self._track_engine_peaks(dest)
-
-        extra, svc, exclusive = self._cxl_access(host_id, line, addr,
-                                                 is_write, now)
-        self._fill(host, l1, line, page, is_write, exclusive=exclusive,
-                   now=now)
-        self.svc_counts[svc] += 1
-        return lat + extra, svc
+                owner_rtt = pair.owner.round_trip(
+                    now, CONTROL_BYTES, units.CACHE_LINE
+                )
+        except LinkTransferError as exc:
+            self._abort_migration(txn, exc)
+            return None
+        lat += pair.requester.round_trip(
+            now, CONTROL_BYTES, units.CACHE_LINE
+        )
+        lat += self._ddir_ns
+        lat += self.cxl_mem.read_line(addr, now)  # verify I' bit
+        lat += owner_rtt
+        lat += self._ldir_ns
+        if owner_host.holds_line(line):  # ME cached (cases 5/6)
+            lat += self._llc_ns
+            if is_write:
+                owner_host.invalidate_line(line)
+            else:
+                owner_host.downgrade_line(line)
+        else:
+            lat += owner_host.local_mem.read_line(addr, now)
+        self.cxl_mem.write_line(addr, now)  # async migrate-back
+        self._dir_update(host_id, line, is_write, now)
+        return lat
 
     def _revocation_transfer(
         self, owner: int, page: int, lines: List[int], now: float
@@ -772,80 +1083,70 @@ class MultiHostSystem:
             self.peak_local_pages[host] = pages
 
     # ------------------------------------------------------------------
-    # Cache fills and evictions
+    # LLC evictions
     # ------------------------------------------------------------------
-    def _fill_l1(self, host: Host, l1, line: int, is_write: bool,
-                 exclusive: int = 1) -> None:
-        victim = l1.fill(line, dirty=is_write, state=exclusive)
-        if victim is not None and victim.dirty:
-            llc_entry = host.llc.peek(victim.line)
-            if llc_entry is not None:
-                llc_entry.dirty = True
-
-    def _fill(
-        self, host: Host, l1, line: int, page: int, is_write: bool,
-        exclusive: bool, now: float,
-    ) -> None:
-        self._fill_l1(host, l1, line, is_write, exclusive=1 if exclusive else 0)
-        victim = host.llc.fill(line, dirty=is_write,
-                               state=1 if exclusive else 0)
-        if victim is not None:
-            self._handle_llc_eviction(host, victim, now)
-
     def _handle_llc_eviction(self, host: Host, victim, now: float) -> None:
+        host_id = host.host_id
+        b = self._bindings[host_id]
         line = victim.line
         # Keep L1s inclusive: pull any L1 residue down with the eviction.
-        # (Inlined l1.invalidate: this loop runs per LLC eviction across
-        # every L1 and the method dispatch dominated its cost.)
-        for l1 in host.l1s:
-            residue = l1._sets[line & l1._mask].pop(line, None)
+        for _l1, l1_sets, l1_mask, _ways in b.l1_lanes:
+            residue = l1_sets[line & l1_mask].pop(line, None)
             if residue is not None and residue.dirty:
                 victim.dirty = True
         addr = line << _LINE_SHIFT
         if addr >= self._cxl_end:
             if victim.dirty:
-                host.local_mem.write_line(addr, now)
+                b.local_chans[(addr >> _PAGE_SHIFT) % b.n_local].access(
+                    addr, now
+                )
             return
         page = line >> _LINE_TO_PAGE
+        dset = self._dir_arrays[
+            (line // self._dir_sets_per_slice) % self._dir_slices
+        ][line & self._dir_mask]
 
         if self._is_pipm:
-            engine = self.engine
-            entry = engine.local_tables[host.host_id].lookup(page)
+            entry = b.local_entries.get(page)
             if entry is not None and (victim.dirty or victim.state == 1):
                 # Case 1 (dirty M) / exclusive-clean incremental migration:
                 # the writeback lands in local DRAM and the bits flip.
-                engine.incremental_migrate(
-                    host.host_id, entry, line & _LINES_MASK
+                line_in_page = line & _LINES_MASK
+                if not entry.migrated_lines >> line_in_page & 1:
+                    self.engine.incremental_migrate(host_id, entry,
+                                                    line_in_page)
+                b.local_chans[(addr >> _PAGE_SHIFT) % b.n_local].access(
+                    addr, now
                 )
-                host.local_mem.write_line(addr, now)
-                self.device_dir.remove(line)
-                self._track_engine_lines(host.host_id)
+                dset.pop(line, None)
+                lines = b.local_table._migrated_total
+                if lines > self.peak_local_lines.get(host_id, 0):
+                    self.peak_local_lines[host_id] = lines
                 return
 
         if self._is_page_map:
             loc = self.page_map.get(page)
-            if loc == host.host_id:
+            if loc == host_id:
                 if victim.dirty:
-                    host.local_mem.write_line(addr, now)
+                    b.local_chans[(addr >> _PAGE_SHIFT) % b.n_local].access(
+                        addr, now
+                    )
                 return
 
         if victim.dirty:
-            self.paths[host.host_id].transfer(TO_DEVICE, now, _CACHE_LINE)
-            self.cxl_mem.write_line(addr, now)
+            b.path.transfer(TO_DEVICE, now, _CACHE_LINE)
+            self._cxl_chans[(addr >> _PAGE_SHIFT) % self._n_cxl].access(
+                addr, now
+            )
         # Update device directory bookkeeping.
-        entry = self.device_dir.peek(line)
+        entry = dset.get(line)
         if entry is not None:
-            entry.sharers.discard(host.host_id)
-            if entry.owner == host.host_id:
+            entry.sharers.discard(host_id)
+            if entry.owner == host_id:
                 entry.owner = -1
                 entry.state = _S if entry.sharers else _I
             if not entry.sharers:
-                self.device_dir.remove(line)
-
-    def _track_engine_lines(self, host: int) -> None:
-        lines = self.engine.local_tables[host].migrated_line_total()
-        if lines > self.peak_local_lines.get(host, 0):
-            self.peak_local_lines[host] = lines
+                del dset[line]
 
     # ------------------------------------------------------------------
     # Kernel migration intervals
@@ -983,15 +1284,13 @@ class MultiHostSystem:
     def maybe_crash(self, now: float) -> None:
         """Process crash/rejoin epochs that came due by ``now``.
 
-        Both engine backends call this at the same global-order points as
-        :meth:`maybe_tick` (and the vector backend fences its batches at
-        the next epoch), so the recovery timeline is identical under loop
-        and vector execution.
+        The engine calls this at the same global-order points as
+        :meth:`maybe_tick`, so the recovery timeline is a deterministic
+        function of the trace and the fault plan.
         """
         injector = self.injector
         if now < injector.next_crash_ns:
             return
-        # simcheck: escalates[crash-epoch]
         for host, is_rejoin in injector.due_crash_events(now):
             if is_rejoin:
                 self._rejoin_host(host, now)
@@ -1120,7 +1419,7 @@ class MultiHostSystem:
         """Drop a host's cached state in place (crash teardown / rejoin).
 
         Mutates the existing cache objects rather than replacing them: the
-        vector backend's per-host closures bind these objects directly.
+        access path's per-host bindings hold these objects directly.
         """
         host = self.hosts[host_id]
         for l1 in host.l1s:
@@ -1176,8 +1475,8 @@ class MultiHostSystem:
         if self._check_crash:
             end_ns = max((host.clock_ns for host in self.hosts), default=0.0)
             # A crash epoch the trace ended just short of observing is
-            # still recovered (both backends finalize identically), so
-            # the availability accounting below matches the timeline.
+            # still recovered, so the availability accounting below
+            # matches the timeline.
             self.maybe_crash(end_ns)
             counters = self.injector.counters
             down = 0.0

@@ -19,10 +19,9 @@ from .findings import Finding
 BASELINE_VERSION = 1
 DEFAULT_BASELINE = "simcheck-baseline.json"
 
-#: Conformance and drift rules assert that the fast path / transition
-#: tables agree with the code *right now* — grandfathering one would
-#: defeat the whole point, so they can never enter the baseline.
-UNBASELINEABLE_PREFIXES = ("VEC",)
+#: The drift rule asserts that the transition tables agree with the code
+#: *right now* — grandfathering one would defeat the whole point, so it
+#: can never enter the baseline.
 UNBASELINEABLE_RULES = frozenset({"PROTO007"})
 
 
@@ -30,9 +29,7 @@ def baseline_eligible(finding: Finding) -> bool:
     """Whether a finding may be grandfathered (or written) at all."""
     if finding.severity != "error":
         return False
-    if finding.rule in UNBASELINEABLE_RULES:
-        return False
-    return not finding.rule.startswith(UNBASELINEABLE_PREFIXES)
+    return finding.rule not in UNBASELINEABLE_RULES
 
 
 def load_baseline(path: str) -> Dict[str, int]:
@@ -92,9 +89,7 @@ def prune_baseline(path: str, root: str) -> Tuple[int, int]:
             continue
         rule = parts[0]
         relpath = "::".join(parts[1:-1])
-        if rule in UNBASELINEABLE_RULES or rule.startswith(
-            UNBASELINEABLE_PREFIXES
-        ):
+        if rule in UNBASELINEABLE_RULES:
             dropped += 1
             continue
         if not os.path.isfile(os.path.join(root, relpath)):
@@ -125,9 +120,8 @@ def apply_baseline(
     """Split findings into (new, grandfathered-count).
 
     Only ``error`` findings are baseline-eligible; notes always pass
-    through (they never fail the run anyway).  Conformance/drift rules
-    (:data:`UNBASELINEABLE_PREFIXES`, :data:`UNBASELINEABLE_RULES`) are
-    never matched against the baseline even if someone hand-edited an
+    through (they never fail the run anyway).  Drift rules
+    (:data:`UNBASELINEABLE_RULES`) are never matched against the baseline even if someone hand-edited an
     entry in.
     """
     budget = dict(baseline)

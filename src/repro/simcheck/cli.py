@@ -7,20 +7,19 @@ conflicting flags).
 
 Pass layout
 -----------
-One invocation runs up to three analysis families, each gated by what
+One invocation runs up to two analysis families, each gated by what
 the requested paths actually cover:
 
 * the AST rule engine (DET/ORD/UNIT/FLOW/... rules) over every in-scope
-  ``.py`` file, plus the backend-conformance pass (``VEC001-004``) when
-  the linted set includes ``sim/engine.py``;
+  ``.py`` file;
 * the protocol-table analyzer (``PROTO001-006``) and the table<->code
   drift pass (``PROTO007``) when it includes the coherence modules.
 
 ``--no-protocol`` drops the second family; ``--protocol-only`` drops
 the first.  CI runs the two halves as separate matrix jobs so a
 protocol regression and an engine regression fail independently.
-Conformance/drift findings are never baselined — they assert the tree
-is self-consistent *now*.
+Drift findings are never baselined — they assert the tree is
+self-consistent *now*.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
-import pathlib
 import sys
 from typing import List, Optional
 
@@ -40,7 +38,6 @@ from .baseline import (
     prune_baseline,
     write_baseline,
 )
-from .conformance import CONFORMANCE_MODULES, analyze_repo_conformance
 from .drift import analyze_repo_drift
 from .engine import (
     LintEngine,
@@ -93,7 +90,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--protocol-only", action="store_true",
         help="run only the protocol-table analyzer and drift pass "
-             "(skip AST rules and backend conformance)",
+             "(skip AST rules)",
     )
     parser.add_argument(
         "--strict-ignores", action="store_true",
@@ -111,13 +108,6 @@ def _list_rules() -> int:
         scopes = ",".join(rule.scopes)
         print(f"{rule.id:<9} [{scopes}] {rule.title}")
     print(f"{'SUPP001':<9} [engine] note: unused/unknown suppression pragma")
-    print(f"{'VEC001':<9} [backend] fast-path stat cell incremented but "
-          f"never flushed")
-    print(f"{'VEC002':<9} [backend] escalation branch without a matching "
-          f"fast-path bail (or vice versa)")
-    print(f"{'VEC003':<9} [backend] classify-phase closure mutates shared "
-          f"state")
-    print(f"{'VEC004':<9} [backend] flush reads a cell it never resets")
     print(f"{'PROTO001':<9} [tables] unhandled (state, event) pair")
     print(f"{'PROTO002':<9} [tables] ambiguous transitions for one stimulus")
     print(f"{'PROTO003':<9} [tables] emitted/awaited message without peer")
@@ -175,13 +165,6 @@ def run_lint(args) -> int:
         report.findings = list(result.findings)
         report.suppressed = result.suppressed
         report.files_checked = result.files_checked
-
-        # Backend conformance fires only when the run covers the vector
-        # engine module (so `lint benchmarks/` stays fast).
-        conf_findings, _ = analyze_repo_conformance(
-            pathlib.Path(root), linted & set(CONFORMANCE_MODULES)
-        )
-        report.findings.extend(conf_findings)
 
     # The protocol pass fires only when the run actually covers the
     # modules that define the tables.

@@ -32,8 +32,8 @@ The diff reports three error shapes, all PROTO007:
 * an inferred-rejected stimulus the table declares legal (the model
   raises where the table promises a transition).
 
-Like the VEC pass, this is source-anchored so tests can feed doctored
-modules/tables to prove each shape fires.
+The pass is source-anchored so tests can feed doctored modules/tables
+to prove each shape fires.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ control-flow graphs (:mod:`cfg`), a reaching-definitions fixed point
 with def-use chains (:mod:`reaching`), and a small provenance/taint
 framework (:mod:`taint`) that propagates client-defined facts along
 those chains.  The FLOW rules (:mod:`repro.simcheck.rules.flow_rules`)
-are the first clients; the backend-conformance and table-drift passes
-anchor on the same machinery where inference suffices.
+are the first clients; the table-drift pass anchors on the same
+machinery where inference suffices.
 """
 
 from .cfg import CFG, Block, build_cfg, iter_function_units

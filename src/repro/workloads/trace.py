@@ -83,30 +83,26 @@ class WorkloadTrace:
         """``streams[host]`` as a structure-of-arrays :class:`BakedStream`.
 
         The instruction gap is pre-multiplied into compute nanoseconds (one
-        vectorized multiply at load instead of per access), the write flag
-        becomes a real bool array, and line/page indices are precomputed —
-        the batch engine backend consumes the arrays directly and the loop
-        backend unpacks them into plain tuples via
-        :meth:`BakedStream.records`.
+        vectorized multiply at load instead of per access) and summed into
+        the stream's instruction total; the run loop unpacks the arrays
+        into plain tuples via :meth:`BakedStream.records`.
         """
         stream = self.streams[host]
         raw = np.array(stream, dtype=np.int64).reshape(-1, 4)
-        addr = np.ascontiguousarray(raw[:, 1])
-        line = addr >> units.LINE_SHIFT
+        gaps = raw[:, 0]
         return BakedStream(
-            compute_ns=raw[:, 0] * float(ns_per_instr),
-            addr=addr,
+            compute_ns=gaps * float(ns_per_instr),
+            addr=np.ascontiguousarray(raw[:, 1]),
             is_write=raw[:, 2] != 0,
             core=np.ascontiguousarray(raw[:, 3]),
-            line=line,
-            page=line >> (units.PAGE_SHIFT - units.LINE_SHIFT),
+            instructions=int(gaps.sum()),
         )
 
     def baked_stream(
         self, host: int, ns_per_instr: float
     ) -> List[Tuple[float, int, bool, int]]:
-        """``streams[host]`` as flat run-loop records (the loop backend's
-        view of :meth:`baked_arrays`)."""
+        """``streams[host]`` as flat run-loop records (the run loop's view
+        of :meth:`baked_arrays`)."""
         return self.baked_arrays(host, ns_per_instr).records()
 
     def validate(
@@ -171,17 +167,15 @@ class BakedStream:
     """One host's stream as parallel numpy arrays (structure of arrays).
 
     ``compute_ns`` is float64 (gap * ns_per_instruction), ``addr``/``core``
-    are int64, ``is_write`` is bool, and ``line``/``page`` are the
-    precomputed cache-line and page indices the batch engine backend keys
-    its array probes on.
+    are int64, ``is_write`` is bool, and ``instructions`` is the sum of
+    the stream's instruction gaps.
     """
 
     compute_ns: np.ndarray
     addr: np.ndarray
     is_write: np.ndarray
     core: np.ndarray
-    line: np.ndarray
-    page: np.ndarray
+    instructions: int
 
     def __len__(self) -> int:
         return len(self.addr)
@@ -190,8 +184,7 @@ class BakedStream:
         """Flat ``(compute_ns, addr, is_write, core)`` tuples.
 
         ``ndarray.tolist`` hands back native Python floats/ints/bools with
-        exactly the values the arrays hold, so the loop backend sees the
-        same records it always did.
+        exactly the values the arrays hold.
         """
         return list(zip(
             self.compute_ns.tolist(), self.addr.tolist(),

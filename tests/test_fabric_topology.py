@@ -370,11 +370,10 @@ class TestLinkAccountingParity:
 
 
 # ======================================================================
-# End-to-end: flat identity and backend agreement
+# End-to-end: flat identity and switched-fabric costs
 # ======================================================================
 class TestTopologyEndToEnd:
-    def _run(self, topology, scheme="pipm", backend="loop", hosts=4,
-             faults=None):
+    def _run(self, topology, scheme="pipm", hosts=4, faults=None):
         config = SystemConfig.scaled(num_hosts=hosts)
         if topology is not None:
             config = dataclasses.replace(
@@ -387,32 +386,15 @@ class TestTopologyEndToEnd:
         config.validate()
         return run_experiment(
             "pr", scheme, config, scale=WorkloadScale.tiny(),
-            backend=backend,
         )
 
-    @pytest.mark.parametrize("backend", ["loop", "vector"])
-    def test_flat_is_byte_identical_to_default(self, backend):
+    def test_flat_is_byte_identical_to_default(self):
         """An explicit flat fabric must not move a single float of the
         pre-fabric (default-config) model the goldens pin."""
         for scheme in ("pipm", "native", "memtis"):
-            default = self._run(None, scheme, backend)
-            flat = self._run("flat", scheme, backend)
-            assert flat.to_record() == default.to_record(), (
-                scheme, backend
-            )
-
-    @pytest.mark.parametrize("topology", ["single-switch", "two-tier"])
-    def test_backends_agree_on_switched_fabrics(self, topology):
-        loop = self._run(topology, backend="loop")
-        vector = self._run(topology, backend="vector")
-        assert vector.to_record() == loop.to_record()
-
-    def test_backends_agree_under_switchdown(self):
-        loop = self._run("single-switch", backend="loop",
-                         faults="switchdown")
-        vector = self._run("single-switch", backend="vector",
-                           faults="switchdown")
-        assert vector.to_record() == loop.to_record()
+            default = self._run(None, scheme)
+            flat = self._run("flat", scheme)
+            assert flat.to_record() == default.to_record(), scheme
 
     def test_switched_fabrics_cost_time(self):
         flat = self._run("flat")

@@ -30,16 +30,6 @@ def test_records_match_golden_file():
     assert problems == [], "\n".join(problems)
 
 
-def test_vector_backend_matches_golden_file():
-    """The batched engine backend must reproduce the same pinned bytes."""
-    golden = json.loads(GOLDEN.read_text())
-    result = run_microbench(
-        scale="tiny", cases=PROFILE_CASES, backend="vector"
-    )
-    problems = compare_records(result.records(), golden["records"])
-    assert problems == [], "\n".join(problems)
-
-
 def test_golden_covers_pipm_and_kernel_migration():
     """The pinned matrix must exercise both mechanisms' hot paths."""
     schemes = {scheme for _, scheme in PROFILE_CASES}

@@ -47,6 +47,31 @@ class RecordingController:
         return self.inner.transfer_page(addr, now)
 
 
+class RecordingChannels:
+    """Logs the address of every DRAM channel access behind a controller.
+
+    The access path calls a controller's channels directly (table walks
+    included), so this spy swaps each channel of the pool for a recording
+    wrapper, in place.
+    """
+
+    def __init__(self, controller):
+        self.addrs = []
+        channels = controller.pool.channels
+        for index, channel in enumerate(channels):
+            channels[index] = _RecordingChannel(channel, self.addrs)
+
+
+class _RecordingChannel:
+    def __init__(self, inner, addrs):
+        self.inner = inner
+        self.addrs = addrs
+
+    def access(self, addr, now, size_bytes=units.CACHE_LINE):
+        self.addrs.append(addr)
+        return self.inner.access(addr, now, size_bytes)
+
+
 class TestOwnerDropOnEviction:
     """``_handle_llc_eviction`` must drop the evicting owner for real."""
 
@@ -85,18 +110,17 @@ class TestLocalRemapWalk:
     def test_walk_issues_two_distinct_table_reads(self, cfg):
         system = make_system(cfg, "pipm")
         host = system.hosts[0]
-        spy = RecordingController(host.local_mem)
-        host.local_mem = spy
+        spy = RecordingChannels(host.local_mem)
         addr = 0x40_0000  # shared page, never touched: cold walk
         system.access(0, 0, addr, False, 0.0)
         # Exactly one read per radix level, nothing else in local DRAM.
-        assert len(spy.reads) == 2
-        root_read, leaf_read = spy.reads
+        assert len(spy.addrs) == 2
+        root_read, leaf_read = spy.addrs
         assert root_read != leaf_read
         table_base = system.address_map.total_capacity
         assert root_read >= table_base
         assert leaf_read >= table_base
-        assert addr not in spy.reads
+        assert addr not in spy.addrs
 
     def test_walk_cannot_alias_data_rows(self, cfg):
         """No walk address shares a DRAM row with any data address."""
@@ -104,24 +128,22 @@ class TestLocalRemapWalk:
         row_bytes = cfg.local_dram.row_bytes
         data_top_row = (system.address_map.total_capacity - 1) // row_bytes
         host = system.hosts[0]
-        spy = RecordingController(host.local_mem)
-        host.local_mem = spy
+        spy = RecordingChannels(host.local_mem)
         for page_offset in (0, 1, 1024, 4096):
             system.access(0, 0, 0x40_0000 + page_offset * units.PAGE_SIZE,
                           False, float(page_offset))
-        assert spy.reads, "expected cold-page walks"
-        assert all(a // row_bytes > data_top_row for a in spy.reads)
+        assert spy.addrs, "expected cold-page walks"
+        assert all(a // row_bytes > data_top_row for a in spy.addrs)
 
     def test_repeat_page_hits_remap_cache_no_walk(self, cfg):
         system = make_system(cfg, "pipm")
         host = system.hosts[0]
         addr = 0x40_0000
         system.access(0, 0, addr, False, 0.0)
-        spy = RecordingController(host.local_mem)
-        host.local_mem = spy
+        spy = RecordingChannels(host.local_mem)
         # Second access to the same page, different line: remap cache hit.
         system.access(0, 0, addr + 2 * units.CACHE_LINE, False, 1000.0)
-        assert spy.reads == []
+        assert spy.addrs == []
 
 
 class TestGlobalRemapWalk:
@@ -148,12 +170,11 @@ class TestGlobalRemapWalk:
 
     def test_walk_address_is_in_dedicated_region(self, cfg):
         system = make_system(cfg, "pipm")
-        spy = RecordingController(system.cxl_mem)
-        system.cxl_mem = spy
+        spy = RecordingChannels(system.cxl_mem)
         page = 64
         addr = page << units.PAGE_SHIFT
         system.access(0, 0, addr, False, 0.0)
-        walk_reads = [a for a in spy.reads if a != addr]
+        walk_reads = [a for a in spy.addrs if a != addr]
         assert len(walk_reads) == 1
         assert walk_reads[0] >= system.address_map.total_capacity
 

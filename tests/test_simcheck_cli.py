@@ -151,12 +151,8 @@ class TestPruneBaseline:
         assert len(load_baseline("simcheck-baseline.json")) == 1
 
 
-class TestConformanceNeverBaselined:
-    def test_vec_and_proto007_are_ineligible(self, tmp_path):
-        vec = Finding(
-            rule="VEC001", path="src/repro/sim/engine.py", line=10,
-            message="cell never flushed", line_text="t_h += 1",
-        )
+class TestDriftNeverBaselined:
+    def test_proto007_is_ineligible(self, tmp_path):
         drift = Finding(
             rule="PROTO007", path="src/repro/coherence/base_protocol.py",
             line=1, message="drift", line_text="pipm::drift::x",
@@ -166,16 +162,15 @@ class TestConformanceNeverBaselined:
             message="wall clock", line_text="t = time.time()",
         )
         baseline_path = tmp_path / "b.json"
-        write_baseline(str(baseline_path), [vec, drift, det])
+        write_baseline(str(baseline_path), [drift, det])
         baseline = load_baseline(str(baseline_path))
         assert list(baseline) == [det.fingerprint()]
 
-        # Even a hand-edited entry must not grandfather them.
+        # Even a hand-edited entry must not grandfather it.
         forced = {
-            vec.fingerprint(): 1,
             drift.fingerprint(): 1,
             det.fingerprint(): 1,
         }
-        fresh, grandfathered = apply_baseline([vec, drift, det], forced)
+        fresh, grandfathered = apply_baseline([drift, det], forced)
         assert grandfathered == 1
-        assert {f.rule for f in fresh} == {"VEC001", "PROTO007"}
+        assert {f.rule for f in fresh} == {"PROTO007"}

@@ -201,8 +201,7 @@ class TestBakedStream:
         assert baked.addr.tolist() == [128, 4096, 64]
         assert baked.is_write.tolist() == [True, False, False]
         assert baked.core.tolist() == [0, 1, 3]
-        assert baked.line.tolist() == [2, 64, 1]
-        assert baked.page.tolist() == [0, 1, 0]
+        assert baked.instructions == 8
 
     def test_records_round_trip(self):
         trace = self._trace()
