@@ -590,12 +590,17 @@ def _cmd_profile(args) -> int:
         scale=args.scale, cases=cases, config=cfg,
         repeats=args.repeats, profiler=profiler,
     )
+    print(f"  {'case':<16} {'accesses':>9}  {'generate':>8}  {'bake':>6}  "
+          f"{'engine':>7}  {'engine acc/s':>12}")
     for case in result.cases:
-        print(f"  {case.key:<16} {case.accesses:>9} accesses  "
-              f"{case.wall_s:>7.2f}s  {case.accesses_per_s:>10,.0f} acc/s")
-    print(f"  {'aggregate':<16} {result.total_accesses:>9} accesses  "
-          f"{result.total_wall_s:>7.2f}s  "
-          f"{result.aggregate_accesses_per_s:>10,.0f} acc/s")
+        print(f"  {case.key:<16} {case.accesses:>9}  "
+              f"{case.generate_s:>7.3f}s  {case.bake_s:>5.3f}s  "
+              f"{case.wall_s:>6.2f}s  {case.accesses_per_s:>12,.0f}")
+    print(f"  {'aggregate':<16} {result.total_accesses:>9}  "
+          f"{result.total_generate_s:>7.3f}s  "
+          f"{result.total_bake_s:>5.3f}s  "
+          f"{result.total_wall_s:>6.2f}s  "
+          f"{result.aggregate_accesses_per_s:>12,.0f}")
 
     if args.baseline and os.path.exists(args.baseline):
         with open(args.baseline) as fh:

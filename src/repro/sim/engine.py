@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import List, Optional
+from itertools import chain
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..config import SystemConfig
 from ..policies.base import MigrationScheme
-from ..workloads.trace import BakedStream, WorkloadTrace
+from ..workloads.trace import WorkloadTrace
 from .results import ServicePoint, SimulationResult
 from .system import MultiHostSystem
 
@@ -37,42 +38,40 @@ class SimulationEngine:
             )
         self.system = system
         self.trace = trace
-        # Bake the per-host streams once: the run loop replays their
-        # ``records()`` view, and the stream-wide sanity checks below run
-        # as array reductions instead of per-record Python loops.
-        total = 0
-        self._baked: List[BakedStream] = []
-        self._run_streams = []
-        for host_id, stream in enumerate(trace.streams):
-            total += len(stream)
-            ns_per_instr = system.hosts[host_id].core.ns_per_instruction
-            baked = trace.baked_arrays(host_id, ns_per_instr)
-            if len(baked) and baked.compute_ns.min() < 0:
-                index = int(np.argmax(baked.compute_ns < 0))
+        # Bake each host's (N, 4) records once, here: the sanity checks
+        # run as array reductions, the gap column becomes compute ns in one
+        # vector multiply, and every column becomes a list of Python
+        # scalars, which the run loop zips back into one record per access.
+        self._columns: List[Tuple[list, list, list, list]] = []
+        self._instructions: List[int] = []
+        for host_id, records in enumerate(trace.streams):
+            gaps = records[:, 0]
+            if len(gaps) and gaps.min() < 0:
+                index = int(np.argmax(gaps < 0))
                 raise ValueError(
                     f"trace {trace.name!r}: host {host_id} record "
                     f"{index} has a negative inter-access gap "
-                    f"({stream[index][0]} ns); simulated time cannot run "
-                    f"backwards"
+                    f"({int(gaps[index])} instructions); simulated time "
+                    f"cannot run backwards"
                 )
-            self._baked.append(baked)
-            self._run_streams.append(baked.records())
-        if total == 0:
+            ns_per_instr = system.hosts[host_id].core.ns_per_instruction
+            self._columns.append(bake(records, ns_per_instr))
+            self._instructions.append(int(gaps.sum()))
+        if trace.total_accesses == 0:
             raise ValueError(
                 f"trace {trace.name!r} contains no accesses on any host; "
                 f"nothing to simulate"
             )
         address_map = system.address_map
-        trace.validate(
-            address_map.cxl_capacity,
-            address_map.total_capacity,
-            addr_arrays=[baked.addr for baked in self._baked],
-        )
+        trace.validate(address_map.cxl_capacity, address_map.total_capacity)
 
     def run(self) -> SimulationResult:
         system = self.system
         hosts = system.hosts
-        streams = self._run_streams
+        # One iterator per host over its baked columns; ``next_record[h]()``
+        # yields host h's next (compute_ns, addr, is_write, core).
+        iters = [zip(*columns) for columns in self._columns]
+        next_record = [it.__next__ for it in iters]
         interval_scheme = system._next_interval is not None
         injector = system.injector
         check_stalls = injector is not None and injector.has_stalls
@@ -92,7 +91,7 @@ class SimulationEngine:
         access = system.access
         heappop = heapq.heappop
         heappushpop = heapq.heappushpop
-        lens = [len(stream) for stream in streams]
+        lens = [len(columns[0]) for columns in self._columns]
         inv_mlp = [host.core.inv_mlp for host in hosts]
         access_counts = [0] * len(hosts)
         inf = math.inf
@@ -102,9 +101,7 @@ class SimulationEngine:
         # which short-circuits in O(1) when that host is still the earliest
         # — the single-runnable-host case never touches the heap.
         heap = [
-            (hosts[h].clock_ns, h, 0)
-            for h in range(len(streams))
-            if streams[h]
+            (hosts[h].clock_ns, h, 0) for h, n in enumerate(lens) if n > 0
         ]
         heapq.heapify(heap)
         item = heappop(heap)
@@ -143,7 +140,7 @@ class SimulationEngine:
                     host.clock_ns = resume
                     item = heappushpop(heap, (resume, host_id, index))
                     continue
-            compute_ns, addr, is_write, core = streams[host_id][index]
+            compute_ns, addr, is_write, core = next_record[host_id]()
             now = host_clock + compute_ns
             host.clock_ns = now
             if eventful:
@@ -152,7 +149,11 @@ class SimulationEngine:
                     if host_id in injector.crashed:
                         # This access died with its host at the crash
                         # epoch: requeue so the next turn pauses or drops
-                        # the stream instead of serving it.
+                        # the stream instead of serving it, and hold the
+                        # record so a rejoin serves this same access.
+                        held = (compute_ns, addr, is_write, core)
+                        iters[host_id] = chain((held,), iters[host_id])
+                        next_record[host_id] = iters[host_id].__next__
                         item = heappushpop(heap, (now, host_id, index))
                         continue
                 if interval_scheme:
@@ -183,7 +184,7 @@ class SimulationEngine:
         hosts = system.hosts
         access_total = 0
         for host_id, host in enumerate(hosts):
-            host.instructions += self._baked[host_id].instructions
+            host.instructions += self._instructions[host_id]
             host.accesses += access_counts[host_id]
             access_total += access_counts[host_id]
 
@@ -252,6 +253,24 @@ class SimulationEngine:
         # fault plan leaves the result identical to a faults-disabled run.
         result.stats.update(system.fault_stats())
         return result
+
+
+def bake(
+    records: np.ndarray, ns_per_instr: float
+) -> Tuple[list, list, list, list]:
+    """One host's ``(N, 4)`` records as run-loop columns of Python scalars.
+
+    Returns ``(compute_ns, addr, is_write, core)`` lists: the instruction
+    gap times ``ns_per_instr`` as floats, ``is_write`` as bools, the rest
+    as ints.  ``ndarray.tolist`` hands back native scalars with exactly
+    the values the arrays hold, so the hot loop never touches numpy.
+    """
+    return (
+        (records[:, 0] * float(ns_per_instr)).tolist(),
+        records[:, 1].tolist(),
+        (records[:, 2] != 0).tolist(),
+        records[:, 3].tolist(),
+    )
 
 
 def simulate(

@@ -5,7 +5,8 @@ workload's (scheme x config) column across a process pool would otherwise
 regenerate the identical trace once per worker.  The store keys traces by
 a content hash of everything generation depends on (workload name, host
 and core counts, the full :class:`~repro.workloads.trace.WorkloadScale`)
-and publishes pickles atomically, so any number of workers can share one
+and publishes ``.npz`` archives (:mod:`repro.workloads.export`, the
+records stored as is) atomically, so any number of workers can share one
 generation.  The sweep runner additionally pre-warms every unique trace
 before fanning out simulations, making "generated once" a guarantee
 rather than a race whose loser does redundant work.
@@ -15,11 +16,12 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import pickle
 import tempfile
+import zipfile
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
+from ..workloads.export import load_trace, write_trace
 from ..workloads.registry import generate
 from ..workloads.trace import WorkloadScale, WorkloadTrace
 from .spec import SPEC_VERSION, content_key
@@ -49,14 +51,14 @@ class TraceStore:
         })
 
     def path_for(self, key: str) -> Path:
-        return self.traces_dir / f"{key}.pkl"
+        return self.traces_dir / f"{key}.npz"
 
     # ------------------------------------------------------------------
     def _load(self, key: str) -> Optional[WorkloadTrace]:
+        """The stored trace, or None if absent, torn or not a trace."""
         try:
-            with open(self.path_for(key), "rb") as handle:
-                return pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+            return load_trace(self.path_for(key))
+        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
             return None
 
     def _save(self, key: str, trace: WorkloadTrace) -> None:
@@ -67,7 +69,7 @@ class TraceStore:
         )
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(trace, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                write_trace(trace, handle)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_name, path)
@@ -115,11 +117,13 @@ class TraceStore:
         return trace, False
 
     def clear(self) -> int:
-        """Delete every cached trace; returns how many were removed."""
+        """Delete every cached trace, including ``*.pkl`` ones from older
+        versions; returns how many were removed."""
         self._memo.clear()
         removed = 0
         if self.traces_dir.is_dir():
-            for path in self.traces_dir.glob("*.pkl"):
+            for path in [*self.traces_dir.glob("*.npz"),
+                         *self.traces_dir.glob("*.pkl")]:
                 try:
                     path.unlink()
                     removed += 1

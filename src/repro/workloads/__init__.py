@@ -10,7 +10,6 @@ graph; the other suites use calibrated mixture models.
 """
 
 from .trace import (
-    AccessRecord,
     MixtureComponent,
     StreamBuilder,
     WorkloadScale,
@@ -21,7 +20,6 @@ from .synthetic import SyntheticSpec, partitioned_split_trace, synthetic_trace
 from .registry import WORKLOADS, generate, workload_names
 
 __all__ = [
-    "AccessRecord",
     "MixtureComponent",
     "StreamBuilder",
     "WorkloadScale",

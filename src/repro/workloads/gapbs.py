@@ -33,7 +33,6 @@ from .graph import (
     line_sample,
 )
 from .trace import (
-    AccessRecord,
     StreamBuilder,
     WorkloadTrace,
     partition_region,
@@ -84,7 +83,7 @@ class _GapbsEmitter:
         host: int,
         emit_chunk: Callable[[np.ndarray], "tuple[np.ndarray, np.ndarray]"],
         mean_gap: int = 9,
-    ) -> List[AccessRecord]:
+    ) -> np.ndarray:
         ctx = self.ctx
         budget = ctx.scale.accesses_per_host
         part = _partition_bounds(self.graph.num_vertices, host, ctx.num_hosts)

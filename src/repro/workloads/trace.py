@@ -1,9 +1,12 @@
 """Trace format and stream-synthesis machinery.
 
-A :class:`WorkloadTrace` holds one access stream per host.  Each record is
-a plain tuple ``(gap_instructions, byte_address, is_write, core)`` — the
-simulator hot loop iterates millions of these, so they stay tuples rather
-than objects.
+A :class:`WorkloadTrace` holds one access stream per host, and every
+stream is one C-contiguous ``(N, 4)`` int64 array whose columns are
+``gap_instructions, addr, is_write, core``.
+That array is the only trace representation: generators return it,
+``.npz`` export and the sweep trace store save and load it as is, and the
+simulation engine bakes it column by column (see DESIGN.md, "The trace
+pipeline").  Hand-built tuple lists are normalised to it on construction.
 
 Streams are synthesized from *mixture components*: cyclic sequential scans,
 zipfian random accesses, and strided walks over named regions of the shared
@@ -14,15 +17,28 @@ probabilistically with a seeded RNG so runs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import units
 from ..mem.address import Region
 
-#: One trace record: (gap_instructions, byte_address, is_write, core).
-AccessRecord = Tuple[int, int, int, int]
+def as_records(stream) -> np.ndarray:
+    """``stream`` as a C-contiguous ``(N, 4)`` int64 record array, columns
+    ``gap_instructions, addr, is_write, core``.
+
+    An array already in that form is returned as is; a sequence of
+    4-tuples (or an empty one) is converted.
+    """
+    records = np.ascontiguousarray(stream, dtype=np.int64)
+    if records.size == 0:
+        return np.empty((0, 4), dtype=np.int64)
+    if records.ndim != 2 or records.shape[1] != 4:
+        raise ValueError(
+            f"a stream must be (N, 4) records, got shape {records.shape}"
+        )
+    return records
 
 
 @dataclass(frozen=True)
@@ -64,12 +80,15 @@ class WorkloadTrace:
 
     name: str
     num_hosts: int
-    streams: List[List[AccessRecord]]
+    streams: List[np.ndarray]
     footprint_bytes: int
     regions: List[Region] = field(default_factory=list)
     mlp: float = 4.0
     read_write_ratio: float = 0.8  # fraction of reads, informational
     description: str = ""
+
+    def __post_init__(self) -> None:
+        self.streams = [as_records(stream) for stream in self.streams]
 
     @property
     def total_accesses(self) -> int:
@@ -77,48 +96,15 @@ class WorkloadTrace:
 
     @property
     def total_instructions(self) -> int:
-        return sum(sum(rec[0] for rec in s) for s in self.streams)
+        return sum(int(s[:, 0].sum()) for s in self.streams)
 
-    def baked_arrays(self, host: int, ns_per_instr: float) -> "BakedStream":
-        """``streams[host]`` as a structure-of-arrays :class:`BakedStream`.
-
-        The instruction gap is pre-multiplied into compute nanoseconds (one
-        vectorized multiply at load instead of per access) and summed into
-        the stream's instruction total; the run loop unpacks the arrays
-        into plain tuples via :meth:`BakedStream.records`.
-        """
-        stream = self.streams[host]
-        raw = np.array(stream, dtype=np.int64).reshape(-1, 4)
-        gaps = raw[:, 0]
-        return BakedStream(
-            compute_ns=gaps * float(ns_per_instr),
-            addr=np.ascontiguousarray(raw[:, 1]),
-            is_write=raw[:, 2] != 0,
-            core=np.ascontiguousarray(raw[:, 3]),
-            instructions=int(gaps.sum()),
-        )
-
-    def baked_stream(
-        self, host: int, ns_per_instr: float
-    ) -> List[Tuple[float, int, bool, int]]:
-        """``streams[host]`` as flat run-loop records (the run loop's view
-        of :meth:`baked_arrays`)."""
-        return self.baked_arrays(host, ns_per_instr).records()
-
-    def validate(
-        self,
-        cxl_capacity: int,
-        total_capacity: int,
-        addr_arrays: Optional[Sequence[np.ndarray]] = None,
-    ) -> None:
+    def validate(self, cxl_capacity: int, total_capacity: int) -> None:
         """Check every address of every host stream against the physical map.
 
         Addresses must fall in the shared CXL pool ``[0, cxl_capacity)`` or
         inside the issuing host's *own* local window — an address in another
         host's window would silently be served as if it were requester-
-        private data.  Vectorized over the full streams; ``addr_arrays``
-        lets callers that already hold the baked SoA address arrays skip
-        rebuilding them.
+        private data.  Vectorized over the full address columns.
         """
         if not 0 <= cxl_capacity <= total_capacity:
             raise ValueError(
@@ -134,12 +120,7 @@ class WorkloadTrace:
                 f" does not divide across {self.num_hosts} hosts"
             )
         for host, stream in enumerate(self.streams):
-            if not stream:
-                continue
-            if addr_arrays is not None:
-                addrs = addr_arrays[host]
-            else:
-                addrs = np.array([rec[1] for rec in stream], dtype=np.int64)
+            addrs = stream[:, 1]
             window_start = cxl_capacity + host * local_capacity
             window_end = window_start + local_capacity
             ok = (addrs >= 0) & (
@@ -160,36 +141,6 @@ class WorkloadTrace:
                 f"{addr:#x} outside the physical map "
                 f"[0, {total_capacity:#x})"
             )
-
-
-@dataclass
-class BakedStream:
-    """One host's stream as parallel numpy arrays (structure of arrays).
-
-    ``compute_ns`` is float64 (gap * ns_per_instruction), ``addr``/``core``
-    are int64, ``is_write`` is bool, and ``instructions`` is the sum of
-    the stream's instruction gaps.
-    """
-
-    compute_ns: np.ndarray
-    addr: np.ndarray
-    is_write: np.ndarray
-    core: np.ndarray
-    instructions: int
-
-    def __len__(self) -> int:
-        return len(self.addr)
-
-    def records(self) -> List[Tuple[float, int, bool, int]]:
-        """Flat ``(compute_ns, addr, is_write, core)`` tuples.
-
-        ``ndarray.tolist`` hands back native Python floats/ints/bools with
-        exactly the values the arrays hold.
-        """
-        return list(zip(
-            self.compute_ns.tolist(), self.addr.tolist(),
-            self.is_write.tolist(), self.core.tolist(),
-        ))
 
 
 @dataclass(frozen=True)
@@ -271,7 +222,7 @@ class StreamBuilder:
 
     def build(
         self, components: Sequence[MixtureComponent], length: int
-    ) -> List[AccessRecord]:
+    ) -> np.ndarray:
         """Synthesize ``length`` records by weighted component interleaving."""
         if not components:
             raise ValueError("need at least one mixture component")
@@ -300,25 +251,29 @@ class StreamBuilder:
                 ).astype(np.int64)
 
         gaps = self.rng.geometric(1.0 / self.mean_gap, size=length)
-        cores = np.arange(length, dtype=np.int64) % self.cores
-        return list(zip(gaps.tolist(), addrs.tolist(),
-                        writes.tolist(), cores.tolist()))
+        return self._records(gaps, addrs, writes)
 
     def from_arrays(
         self,
         addrs: np.ndarray,
         writes: np.ndarray,
         mean_gap: Optional[int] = None,
-    ) -> List[AccessRecord]:
+    ) -> np.ndarray:
         """Wrap pre-computed address/write arrays into trace records."""
         if len(addrs) != len(writes):
             raise ValueError("addrs and writes must be the same length")
         gap = mean_gap if mean_gap is not None else self.mean_gap
         gaps = self.rng.geometric(1.0 / gap, size=len(addrs))
-        cores = np.arange(len(addrs), dtype=np.int64) % self.cores
-        return list(zip(gaps.tolist(), np.asarray(addrs, dtype=np.int64).tolist(),
-                        np.asarray(writes, dtype=np.int64).tolist(),
-                        cores.tolist()))
+        return self._records(gaps, addrs, writes)
+
+    def _records(self, gaps, addrs, writes) -> np.ndarray:
+        """Column-stack one stream's ``(N, 4)`` records; cores round-robin."""
+        records = np.empty((len(gaps), 4), dtype=np.int64)
+        records[:, 0] = gaps
+        records[:, 1] = addrs
+        records[:, 2] = writes
+        records[:, 3] = np.arange(len(gaps), dtype=np.int64) % self.cores
+        return records
 
 
 def private_region(local_window: Tuple[int, int], size: int) -> Region:

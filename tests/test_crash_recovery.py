@@ -17,6 +17,7 @@ from repro.policies import make_scheme
 from repro.sim.engine import SimulationEngine, simulate
 from repro.sim.system import MultiHostSystem
 from repro.soak.clauses import FaultClause, build_fault_config, draw_clauses
+from repro.workloads.trace import WorkloadTrace
 
 _INF = float("inf")
 
@@ -384,6 +385,31 @@ class TestCrashRecoveryE2E:
         assert system.watchdog.ok
         # The rejoined host served accesses again after coming back.
         assert system.hosts[config.faults.crash_host].clock_ns > 1.2e5
+
+    def test_rejoin_serves_the_access_the_crash_interrupted(
+            self, scaled_config):
+        """Only the crashing host runs, so its own access trips the crash
+        epoch: that access is held over the outage and served on rejoin,
+        neither skipped nor served twice."""
+        config = _with_faults(
+            scaled_config,
+            "hostdown-rejoin:crash-at-ns=1e3,crash-rejoin-ns=5e3",
+        )
+        dead = config.faults.crash_host
+        records = [(100, line * 64, 0, 0) for line in range(200)]
+        trace = WorkloadTrace(
+            name="one-host", num_hosts=config.num_hosts,
+            streams=[records if host == dead else []
+                     for host in range(config.num_hosts)],
+            footprint_bytes=200 * 64,
+        )
+        result = simulate(trace, make_scheme("native"), config)
+        stats = result.fault_stats
+        assert stats["fault_host_crashes"] == 1.0
+        assert stats["fault_host_rejoins"] == 1.0
+        assert "fault_crash_dropped_accesses" not in stats
+        assert result.accesses == len(records)
+        assert result.instructions == 100 * len(records)
 
     def test_crash_beyond_trace_end_is_byte_identical(self, scaled_config,
                                                       tiny_pr_trace):

@@ -256,7 +256,12 @@ class TestEngineValidation:
             + [[] for _ in range(scaled_config.num_hosts - 1)],
             footprint_bytes=4096,
         )
-        with pytest.raises(ValueError, match="negative inter-access gap"):
+        # The gap is reported in the trace's unit, instructions.
+        with pytest.raises(
+            ValueError,
+            match=r"host 0 record 1 has a negative inter-access gap "
+                  r"\(-1 instructions\)",
+        ):
             SimulationEngine(self._system(scaled_config), trace)
 
     def test_empty_trace_rejected(self, scaled_config):

@@ -1,5 +1,6 @@
 """Simulation engine, harness, and result metrics."""
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -11,7 +12,7 @@ from repro import (
     simulate,
 )
 from repro.policies import make_scheme
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import SimulationEngine, bake
 from repro.sim.harness import DEFAULT_SCHEMES, speedups_over_native
 from repro.sim.results import ServicePoint, SimulationResult
 from repro.sim.system import MultiHostSystem
@@ -25,6 +26,24 @@ def native_result(tiny_pr_trace, scaled_config):
 @pytest.fixture(scope="module")
 def pipm_result(tiny_pr_trace, scaled_config):
     return simulate(tiny_pr_trace, make_scheme("pipm"), scaled_config)
+
+
+class TestBake:
+    RECORDS = np.array([(2, 128, 1, 0), (5, 4096, 0, 1), (1, 64, 0, 3)],
+                       dtype=np.int64)
+
+    def test_columns_match_records(self):
+        compute_ns, addr, is_write, core = bake(self.RECORDS, 0.5)
+        assert compute_ns == [1.0, 2.5, 0.5]
+        assert addr == [128, 4096, 64]
+        assert is_write == [True, False, False]
+        assert core == [0, 1, 3]
+
+    def test_columns_are_python_scalars(self):
+        compute_ns, addr, is_write, core = bake(self.RECORDS, 0.5)
+        assert all(type(ns) is float for ns in compute_ns)
+        assert all(type(a) is int for a in addr + core)
+        assert all(type(w) is bool for w in is_write)
 
 
 class TestEngine:
@@ -185,3 +204,16 @@ class TestHarness:
         scheme = make_scheme("memtis")
         result = run_experiment(tiny_pr_trace, scheme, scaled_config)
         assert result.scheme == "memtis"
+
+
+class TestProfileStages:
+    def test_case_reports_generate_and_bake_beside_engine(self):
+        from repro.sim.profile import MicrobenchResult, run_case
+
+        case = run_case("ycsb", "memtis", WorkloadScale.tiny(), repeats=2)
+        assert case.accesses == 4 * WorkloadScale.tiny().accesses_per_host
+        assert case.generate_s > 0 and case.bake_s > 0 and case.wall_s > 0
+        summary = MicrobenchResult("tiny", 4, [case]).summary()
+        assert summary["cases"][0]["generate_s"] == round(case.generate_s, 3)
+        assert summary["cases"][0]["bake_s"] == round(case.bake_s, 3)
+        assert summary["total_bake_s"] == round(case.bake_s, 3)

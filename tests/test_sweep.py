@@ -16,6 +16,7 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import FaultConfig, SystemConfig
@@ -208,8 +209,34 @@ class TestTraceStore:
         fresh = TraceStore(tmp_path)
         again, hit = fresh.warm("pr", 4, 4, scale)
         assert hit
-        assert again.streams == trace.streams
+        assert len(again.streams) == len(trace.streams)
+        for got, want in zip(again.streams, trace.streams):
+            assert np.array_equal(got, want)
         assert again.footprint_bytes == trace.footprint_bytes
+
+    @pytest.mark.parametrize("content", [b"", b"torn", b"PK\x03\x04torn",
+                                         b"\x80\x04N."])
+    def test_corrupt_file_is_regenerated(self, tmp_path, content):
+        scale = WorkloadScale.tiny()
+        trace, _ = TraceStore(tmp_path).warm("pr", 4, 4, scale)
+        path = TraceStore(tmp_path).path_for(
+            TraceStore.key_for("pr", 4, 4, scale)
+        )
+        path.write_bytes(content)
+        fresh = TraceStore(tmp_path)
+        again, hit = fresh.warm("pr", 4, 4, scale)
+        assert not hit
+        for got, want in zip(again.streams, trace.streams):
+            assert np.array_equal(got, want)
+        # The regenerated archive was republished over the corrupt file.
+        assert TraceStore(tmp_path).warm("pr", 4, 4, scale)[1]
+
+    def test_clear_removes_legacy_pickles(self, tmp_path):
+        store = TraceStore(tmp_path)
+        store.warm("ycsb", 4, 4, WorkloadScale.tiny())
+        (store.traces_dir / "legacy.pkl").write_bytes(b"old")
+        assert store.clear() == 2
+        assert list(store.traces_dir.iterdir()) == []
 
     def test_memo_hit(self, tmp_path):
         store = TraceStore(tmp_path)

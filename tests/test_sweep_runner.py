@@ -66,7 +66,7 @@ class TestSweepRunner:
         # 6 specs share 2 traces: one warm task per workload, none a hit.
         assert len(summary.trace_reports) == len(WORKLOADS)
         assert all(not hit for _wl, hit, _s in summary.trace_reports)
-        trace_files = list(TraceStore(tmp_path).traces_dir.glob("*.pkl"))
+        trace_files = list(TraceStore(tmp_path).traces_dir.glob("*.npz"))
         assert len(trace_files) == len(WORKLOADS)
 
     def test_stats_aggregate_counter_vs_gauge(self, tmp_path):

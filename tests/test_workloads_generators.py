@@ -80,7 +80,14 @@ class TestEveryGenerator:
     def test_deterministic(self, name):
         a = generate(name, scale=SCALE)
         b = generate(name, scale=SCALE)
-        assert a.streams[0][:50] == b.streams[0][:50]
+        assert np.array_equal(a.streams[0][:50], b.streams[0][:50])
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_streams_are_columnar(self, name):
+        for stream in generate(name, scale=SCALE).streams:
+            assert stream.dtype == np.int64
+            assert stream.shape == (SCALE.accesses_per_host, 4)
+            assert stream.flags.c_contiguous
 
 
 class TestSharingStructure:

@@ -187,28 +187,52 @@ class TestTraceValidate:
             self._trace(streams).validate(self.CXL, self.TOTAL)
 
 
-class TestBakedStream:
-    def _trace(self) -> WorkloadTrace:
-        streams = [[(2, 128, 1, 0), (5, 4096, 0, 1), (1, 64, 0, 3)]]
-        return WorkloadTrace(
-            name="t", num_hosts=1, streams=streams, footprint_bytes=8192,
+class TestColumnarStreams:
+    """Every stream is one C-contiguous (N, 4) int64 record array."""
+
+    @staticmethod
+    def _assert_columnar(records, rows):
+        assert isinstance(records, np.ndarray)
+        assert records.dtype == np.int64
+        assert records.shape == (rows, 4)
+        assert records.flags.c_contiguous
+
+    def test_tuple_lists_normalise(self):
+        trace = WorkloadTrace(
+            name="t", num_hosts=2, footprint_bytes=8192,
+            streams=[[(2, 128, 1, 0), (5.0, 4096, 0, 1)], [(1, 64, 0, 3)]],
         )
+        self._assert_columnar(trace.streams[0], 2)
+        self._assert_columnar(trace.streams[1], 1)
+        assert trace.streams[0].tolist() == [[2, 128, 1, 0], [5, 4096, 0, 1]]
+        assert trace.total_instructions == 8
 
-    def test_arrays_match_records(self):
-        baked = self._trace().baked_arrays(0, ns_per_instr=0.5)
-        assert len(baked) == 3
-        assert baked.compute_ns.tolist() == [1.0, 2.5, 0.5]
-        assert baked.addr.tolist() == [128, 4096, 64]
-        assert baked.is_write.tolist() == [True, False, False]
-        assert baked.core.tolist() == [0, 1, 3]
-        assert baked.instructions == 8
+    def test_empty_streams_normalise(self):
+        trace = WorkloadTrace(name="t", num_hosts=2, footprint_bytes=8192,
+                              streams=[[], np.empty(0, dtype=np.int64)])
+        for stream in trace.streams:
+            self._assert_columnar(stream, 0)
+        assert trace.total_accesses == 0
+        assert trace.total_instructions == 0
 
-    def test_records_round_trip(self):
-        trace = self._trace()
-        baked = trace.baked_arrays(0, ns_per_instr=0.5)
-        records = baked.records()
-        assert records == trace.baked_stream(0, ns_per_instr=0.5)
-        assert all(isinstance(w, bool) for _, _, w, _ in records)
+    def test_columnar_arrays_kept_as_is(self):
+        records = np.arange(8, dtype=np.int64).reshape(2, 4)
+        trace = WorkloadTrace(name="t", num_hosts=1, footprint_bytes=8192,
+                              streams=[records])
+        assert trace.streams[0] is records
+
+    def test_rejects_malformed_records(self):
+        with pytest.raises(ValueError, match=r"\(N, 4\)"):
+            WorkloadTrace(name="t", num_hosts=1, footprint_bytes=8192,
+                          streams=[[(1, 64, 0)] * 4])
+
+    def test_builder_returns_records(self, region):
+        builder = StreamBuilder(np.random.default_rng(0), cores=2)
+        comps = [MixtureComponent("seq", 1.0, seq_lines(region))]
+        self._assert_columnar(builder.build(comps, 10), 10)
+        self._assert_columnar(
+            builder.from_arrays(np.array([0, 64]), np.array([0, 1])), 2
+        )
 
 
 class TestStreamBuilder:
@@ -242,7 +266,7 @@ class TestStreamBuilder:
         def run():
             builder = StreamBuilder(np.random.default_rng(7))
             return builder.build(self._components(region), 100)
-        assert run() == run()
+        assert np.array_equal(run(), run())
 
     def test_mean_gap_approx(self, region):
         builder = StreamBuilder(np.random.default_rng(0), mean_gap=12)
