@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from itertools import chain
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from .results import ServicePoint, SimulationResult
 from .system import MultiHostSystem
 
 _SVC_L1 = int(ServicePoint.L1)
+
+#: Records a host's replay converts to Python scalars at a time.
+BAKE_CHUNK = 4096
 
 
 class SimulationEngine:
@@ -38,11 +41,10 @@ class SimulationEngine:
             )
         self.system = system
         self.trace = trace
-        # Bake each host's (N, 4) records once, here: the sanity checks
-        # run as array reductions, the gap column becomes compute ns in one
-        # vector multiply, and every column becomes a list of Python
-        # scalars, which the run loop zips back into one record per access.
-        self._columns: List[Tuple[list, list, list, list]] = []
+        # Check each host's (N, 4) records as array reductions and convert
+        # nothing: ``run`` turns the records into Python scalars one window
+        # at a time (``replay``), so no whole-trace list of Python objects
+        # ever exists.
         self._instructions: List[int] = []
         for host_id, records in enumerate(trace.streams):
             gaps = records[:, 0]
@@ -54,8 +56,6 @@ class SimulationEngine:
                     f"({int(gaps[index])} instructions); simulated time "
                     f"cannot run backwards"
                 )
-            ns_per_instr = system.hosts[host_id].core.ns_per_instruction
-            self._columns.append(bake(records, ns_per_instr))
             self._instructions.append(int(gaps.sum()))
         if trace.total_accesses == 0:
             raise ValueError(
@@ -68,9 +68,14 @@ class SimulationEngine:
     def run(self) -> SimulationResult:
         system = self.system
         hosts = system.hosts
-        # One iterator per host over its baked columns; ``next_record[h]()``
-        # yields host h's next (compute_ns, addr, is_write, core).
-        iters = [zip(*columns) for columns in self._columns]
+        streams = self.trace.streams
+        # One iterator per host over its records, baked one window at a
+        # time; ``next_record[h]()`` yields host h's next
+        # (compute_ns, addr, is_write, core).
+        iters = [
+            replay(records, host.core.ns_per_instruction)
+            for records, host in zip(streams, hosts)
+        ]
         next_record = [it.__next__ for it in iters]
         interval_scheme = system._next_interval is not None
         injector = system.injector
@@ -91,7 +96,8 @@ class SimulationEngine:
         access = system.access
         heappop = heapq.heappop
         heappushpop = heapq.heappushpop
-        lens = [len(columns[0]) for columns in self._columns]
+        lens = [len(records) for records in streams]
+        instructions = list(self._instructions)
         inv_mlp = [host.core.inv_mlp for host in hosts]
         access_counts = [0] * len(hosts)
         inf = math.inf
@@ -128,9 +134,13 @@ class SimulationEngine:
                 if resume is not None:
                     if resume == inf:
                         # Fail-stop with no rejoin: drop the host's
-                        # remaining stream deterministically (counted).
+                        # remaining stream deterministically (counted),
+                        # and the instructions of its dropped records.
                         injector.counters.crash_dropped_accesses += (
                             lens[host_id] - index
+                        )
+                        instructions[host_id] -= int(
+                            streams[host_id][index:, 0].sum()
                         )
                         if heap:
                             item = heappop(heap)
@@ -174,17 +184,19 @@ class SimulationEngine:
             else:
                 break
 
-        return self._finish(stall_by_service, access_counts)
+        return self._finish(stall_by_service, access_counts, instructions)
 
     # ------------------------------------------------------------------
     # Epilogue
     # ------------------------------------------------------------------
-    def _finish(self, stall_by_service, access_counts) -> SimulationResult:
+    def _finish(
+        self, stall_by_service, access_counts, instructions
+    ) -> SimulationResult:
         system = self.system
         hosts = system.hosts
         access_total = 0
         for host_id, host in enumerate(hosts):
-            host.instructions += self._instructions[host_id]
+            host.instructions += instructions[host_id]
             host.accesses += access_counts[host_id]
             access_total += access_counts[host_id]
 
@@ -270,6 +282,20 @@ def bake(
         records[:, 1].tolist(),
         (records[:, 2] != 0).tolist(),
         records[:, 3].tolist(),
+    )
+
+
+def replay(records: np.ndarray, ns_per_instr: float) -> Iterator[tuple]:
+    """Iterate one host's records as ``(compute_ns, addr, is_write, core)``.
+
+    Each window of ``BAKE_CHUNK`` records goes through :func:`bake` only
+    when the previous one is used up, so the iterator holds one window of
+    Python scalars at a time, and ``chain.from_iterable`` steps through
+    the windows in C.
+    """
+    return chain.from_iterable(
+        zip(*bake(records[start:start + BAKE_CHUNK], ns_per_instr))
+        for start in range(0, len(records), BAKE_CHUNK)
     )
 
 

@@ -4,7 +4,8 @@ The simulator's throughput ceiling is the pure-Python per-access hot path
 (:meth:`SimulationEngine.run` -> :meth:`MultiHostSystem.access`), so this
 module times exactly that: the engine run is the measured region, and
 accesses/sec is over it alone.  The two setup stages before it, trace
-generation and the engine's bake (``SimulationEngine`` construction),
+generation and the engine's bake (``SimulationEngine`` construction,
+which validates the trace; the run converts records window by window),
 are timed separately and reported beside it.  The workloads are the
 figure matrix's representative (workload, scheme) pairs — a PIPM run, a
 baseline CXL run, and a kernel-migration run — generated at a fixed scale

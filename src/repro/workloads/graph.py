@@ -68,31 +68,41 @@ def rmat_graph(
 
     src = np.zeros(num_edges, dtype=np.int64)
     dst = np.zeros(num_edges, dtype=np.int64)
-    # Quadrant probabilities per bit level.
+    # Quadrant probabilities per bit level: a (src0 dst0), b (src0 dst1),
+    # c (src1 dst0), d (src1 dst1).  One draw buffer and two bit masks are
+    # reused across levels, and the bits shift into src/dst in place.
     ab = a + b
     abc = a + b + c
+    r = np.empty(num_edges)
+    bit = np.empty(num_edges, dtype=bool)
+    in_b = np.empty(num_edges, dtype=bool)
     for _ in range(scale):
-        r = rng.random(num_edges)
-        right = r > ab  # quadrants c or d -> dst high bit set? (see below)
-        # Recompute: quadrant a: src0 dst0; b: src0 dst1; c: src1 dst0; d: src1 dst1
-        in_b = (r >= a) & (r < ab)
-        in_c = (r >= ab) & (r < abc)
-        in_d = r >= abc
-        src = (src << 1) | (in_c | in_d).astype(np.int64)
-        dst = (dst << 1) | (in_b | in_d).astype(np.int64)
-        del right
+        rng.random(out=r)
+        np.greater_equal(r, ab, out=bit)  # quadrant c or d
+        src <<= 1
+        src |= bit
+        np.greater_equal(r, a, out=in_b)
+        np.less(r, ab, out=bit)
+        in_b &= bit
+        np.greater_equal(r, abc, out=bit)  # quadrant d
+        bit |= in_b
+        dst <<= 1
+        dst |= bit
+    del r, bit, in_b
     # Permute vertex ids so hubs are spread across partitions.
     perm = rng.permutation(n)
     src = perm[src]
     dst = perm[dst]
+    del perm
 
     # Canonical CSR: rows sorted by source, each adjacency list sorted by
     # neighbor id (GAPBS builds sorted lists; this gives neighbor-indexed
-    # property reads their real spatial locality).
+    # property reads their real spatial locality).  Row counts do not
+    # depend on order, so they come from the unsorted sources.
+    counts = np.bincount(src, minlength=n)
     order = np.lexsort((dst, src))
-    src_sorted = src[order]
+    del src
     neighbors = dst[order]
-    counts = np.bincount(src_sorted, minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return CsrGraph(n, offsets, neighbors)

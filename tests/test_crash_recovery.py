@@ -14,6 +14,7 @@ from repro.faults import FaultInjector, FaultPlan, HostCrashEvent, \
 from repro.faults.plan import LinkDegradeWindow
 from repro.faults.watchdog import WatchdogError
 from repro.policies import make_scheme
+from repro.sim import engine as sim_engine
 from repro.sim.engine import SimulationEngine, simulate
 from repro.sim.system import MultiHostSystem
 from repro.soak.clauses import FaultClause, build_fault_config, draw_clauses
@@ -410,6 +411,67 @@ class TestCrashRecoveryE2E:
         assert "fault_crash_dropped_accesses" not in stats
         assert result.accesses == len(records)
         assert result.instructions == 100 * len(records)
+
+    def test_fail_stop_counts_only_served_instructions(self, scaled_config,
+                                                       tiny_pr_trace):
+        """A permanent crash drops the rest of the host's stream, and its
+        gaps with it: every host's instructions are the gaps of exactly
+        the records it served."""
+        config = _with_faults(scaled_config, CRASH_SPEC)
+        system = MultiHostSystem(config, make_scheme("pipm"))
+        result = SimulationEngine(system, tiny_pr_trace).run()
+        dead = config.faults.crash_host
+        dropped = result.fault_stats["fault_crash_dropped_accesses"]
+        assert dropped > 0
+        assert system.hosts[dead].accesses == (
+            len(tiny_pr_trace.streams[dead]) - dropped
+        )
+        for host, records in zip(system.hosts, tiny_pr_trace.streams):
+            assert host.instructions == int(
+                records[:host.accesses, 0].sum()
+            )
+        assert result.instructions == sum(
+            host.instructions for host in system.hosts
+        )
+        assert result.instructions < tiny_pr_trace.total_instructions
+
+    def test_rejoin_serves_held_record_across_a_window_boundary(
+            self, scaled_config, monkeypatch):
+        """The held record is the last of its bake window: the rejoined
+        host is served it, then goes on into the next window, exactly as
+        when one window spans the whole trace."""
+        records = [(90 + i % 21, i * 64, i % 3 == 0, i % 4)
+                   for i in range(300)]
+        gaps_total = sum(record[0] for record in records)
+
+        def run(spec):
+            config = _with_faults(scaled_config, spec)
+            dead = config.faults.crash_host
+            trace = WorkloadTrace(
+                name="one-host", num_hosts=config.num_hosts,
+                streams=[records if host == dead else []
+                         for host in range(config.num_hosts)],
+                footprint_bytes=300 * 64,
+            )
+            return simulate(trace, make_scheme("native"), config)
+
+        # The permanent crash at the same epoch drops the held record and
+        # everything after it, which locates the held record.
+        down = run("hostdown:crash-at-ns=1e3")
+        held = len(records) - int(
+            down.fault_stats["fault_crash_dropped_accesses"])
+        assert 0 < held < len(records) - 1
+        assert down.instructions == sum(r[0] for r in records[:held])
+
+        rejoin = "hostdown-rejoin:crash-at-ns=1e3,crash-rejoin-ns=5e3"
+        monkeypatch.setattr(sim_engine, "BAKE_CHUNK", len(records))
+        whole = run(rejoin)
+        monkeypatch.setattr(sim_engine, "BAKE_CHUNK", held + 1)
+        windowed = run(rejoin)
+        assert windowed.fault_stats["fault_host_rejoins"] == 1.0
+        assert windowed.accesses == len(records)
+        assert windowed.instructions == gaps_total
+        assert windowed.to_record() == whole.to_record()
 
     def test_crash_beyond_trace_end_is_byte_identical(self, scaled_config,
                                                       tiny_pr_trace):

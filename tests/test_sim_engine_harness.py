@@ -1,5 +1,8 @@
 """Simulation engine, harness, and result metrics."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,10 +15,12 @@ from repro import (
     simulate,
 )
 from repro.policies import make_scheme
+from repro.sim import engine as sim_engine
 from repro.sim.engine import SimulationEngine, bake
 from repro.sim.harness import DEFAULT_SCHEMES, speedups_over_native
 from repro.sim.results import ServicePoint, SimulationResult
 from repro.sim.system import MultiHostSystem
+from repro.workloads.trace import WorkloadTrace
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +49,91 @@ class TestBake:
         assert all(type(ns) is float for ns in compute_ns)
         assert all(type(a) is int for a in addr + core)
         assert all(type(w) is bool for w in is_write)
+
+
+class TestWindowedReplay:
+    """``run`` bakes each host's records one ``BAKE_CHUNK`` window at a
+    time; every split must replay exactly as one whole-trace window."""
+
+    @staticmethod
+    def _records(n, seed):
+        rng = np.random.default_rng(seed)
+        return np.column_stack([
+            rng.integers(0, 200, n),
+            rng.integers(0, 4096, n) * 64,
+            rng.integers(0, 2, n),
+            rng.integers(0, 4, n),
+        ]).astype(np.int64)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 10, 11, 4096])
+    def test_replay_matches_one_window(self, chunk, monkeypatch):
+        records = self._records(10, seed=1)
+        monkeypatch.setattr(sim_engine, "BAKE_CHUNK", chunk)
+        assert list(sim_engine.replay(records, 0.25)) == list(
+            zip(*bake(records, 0.25)))
+
+    def test_replay_of_empty_stream_is_empty(self):
+        assert list(sim_engine.replay(self._records(0, seed=1), 0.5)) == []
+
+    @pytest.mark.parametrize("window", [4096, 7])
+    def test_run_matches_one_window(self, window, scaled_config,
+                                    monkeypatch):
+        """Host 0 is shorter than one window, hosts 1-2 are not multiples
+        of the window, and host 3 is exactly one window."""
+        lengths = [window // 2 + 1, window + 1, 2 * window + 37, window]
+        trace = WorkloadTrace(
+            name="hand", num_hosts=4,
+            streams=[self._records(n, seed=h)
+                     for h, n in enumerate(lengths)],
+            footprint_bytes=4096 * 64,
+        )
+        monkeypatch.setattr(sim_engine, "BAKE_CHUNK", window)
+        windowed = simulate(trace, make_scheme("pipm"), scaled_config)
+        monkeypatch.setattr(sim_engine, "BAKE_CHUNK", max(lengths))
+        whole = simulate(trace, make_scheme("pipm"), scaled_config)
+        assert windowed.accesses == sum(lengths)
+        assert windowed.instructions == trace.total_instructions
+        assert windowed.to_record() == whole.to_record()
+
+
+class TestReplayMemory:
+    """Regression gate: the engine holds no whole-trace Python lists.
+
+    ``pr`` at ``small`` scale (4 x 50k records).  A whole-trace
+    conversion to Python scalars retains about 17.6 MB here; one window
+    per host is about 1.5 MB.  The memory system is stubbed out of the
+    run (every access an L1 hit), so the traced peak is the engine's own
+    and the gate runs in seconds under ``tracemalloc``.
+    """
+
+    @pytest.fixture(scope="class")
+    def system_and_trace(self):
+        trace = generate("pr", scale=WorkloadScale.small())
+        system = MultiHostSystem(
+            SystemConfig.scaled(), make_scheme("native"),
+            workload_mlp=trace.mlp,
+            footprint_pages=max(1, trace.footprint_bytes // 4096),
+        )
+        l1 = int(ServicePoint.L1)
+        system.access = lambda host, core, addr, is_write, now: (0.0, l1)
+        return system, trace
+
+    def test_construction_and_run_stay_bounded(self, system_and_trace):
+        system, trace = system_and_trace
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            engine = SimulationEngine(system, trace)
+            retained = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            result = engine.run()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert result.accesses == trace.total_accesses
+        assert retained < 1_000_000
+        assert peak < 4_000_000
 
 
 class TestEngine:
